@@ -1,11 +1,18 @@
 """Radial kernels of the heat semigroup and its two subordinated families.
 
-For q >= 2 the heat kernel comes from the explicit oscillatory integral over
-[0, pi]; the time variable of that formula is rescaled by 1/(q+1) so that the
-kernel generated is the one of exp(-t L) with L f = f - (mean of f over
-neighbors). The rescaling is forced by the walk-count series for exp(-t L)
-and by the q = 1 degeneration, where the kernel must be exp(-t) I_k(t).
-q = 1 always routes through the Bessel form.
+For q >= 2 the heat kernel of exp(-t L), L f = f - (mean of f over
+neighbors), is the walk mixture
+
+    H_t(k) = sum_n e^{-t} t^n / n! u_n(k),
+
+where u_n(k) is the probability that the n-step simple random walk from o
+sits at one given vertex at distance k (Figa-Talamanca and Nebbia, LMS LN
+162; Cowling, Meda and Setti, Trans. AMS 352). The u_n do not depend on t:
+one table per q holds them, rescaled by rho^{-n}, and grows on demand; a
+batch of times is one Poisson-weighted sum over it. Every term is positive,
+so each value keeps its relative accuracy at any k and t, and carries an
+error bound checked against the QuadratureSpec. q = 1 routes through the
+Bessel form exp(-t) I_k(t).
 
 Subordinated families are integrated in normalized variables: the stable
 kernel over y = s * t^(-2/alpha) against f_{alpha,1}, the wave-type kernel
@@ -18,26 +25,21 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import NumericalError
 from .geometry import TreeGeometry, radial_distance_counts, sphere_size
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .special import _f1, bessel_i_scaled
 
-_GK_X = None
-_GK_W = None
+_EPS = float(np.finfo(float).eps)
 
 
-def _gk_nodes():
-    global _GK_X, _GK_W
-    if _GK_X is None:
-        from .quadrature import _WK, _XK
-
-        _GK_X, _GK_W = _XK, _WK
-    return _GK_X, _GK_W
+def _check_time(t: float) -> None:
+    if not math.isfinite(t) or t <= 0:
+        raise ValueError(f"t must be finite and > 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -81,149 +83,214 @@ class KernelFamily:
         return "heat"
 
 
-@lru_cache(maxsize=4096)
-def _heat_design(q: int, k: int, panels: int):
-    """Composite GK nodes and combined weights for the [0, pi] integral."""
-    xk, wk = _gk_nodes()
-    edges = np.linspace(0.0, math.pi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    u = (mid[:, None] + half[:, None] * xk[None, :]).ravel()
-    w = (half[:, None] * wk[None, :]).ravel()
-    denom = (q + 1.0) ** 2 - 4.0 * q * np.cos(u) ** 2
-    if k == 0:
-        geo = 2.0 * q * (q + 1.0) / math.pi * np.sin(u) ** 2 / denom
-    else:
-        geo = (
-            2.0
-            / (math.pi * float(q) ** (k / 2.0 - 1.0))
-            * np.sin(u)
-            * (q * np.sin((k + 1.0) * u) - np.sin((k - 1.0) * u))
-            / denom
-        )
-    return u, w * geo
+def _walk_decay(q: int) -> float:
+    """rho = 2 sqrt(q)/(q+1), the l^2 norm of the averaging operator P = I - L."""
+    return 2.0 * math.sqrt(q) / (q + 1.0)
 
 
-def _heat_fixed(q: int, k: int, s, panels: int):
-    """Heat kernel values at times s (array) with a fixed composite rule."""
-    u, wg = _heat_design(q, k, panels)
-    s = np.asarray(s, dtype=float)
-    expo = s[:, None] * (2.0 * math.sqrt(q) / (q + 1.0) * np.cos(u)[None, :] - 1.0)
-    return np.exp(expo) @ wg
+def _time_cutoff(q: int) -> float:
+    """Beyond s_cut = 700/b, b = 1 - rho the spectral gap, H_s <= e^{-s b}
+    underflows; q = 1 has no gap and no cutoff."""
+    b = 1.0 - _walk_decay(q)
+    return 700.0 / b if b > 0 else math.inf
 
 
-_SERIES_T_MAX = 600.0  # e^{-t} stays representable; series weights never overflow
+def _log_stirling(n: np.ndarray) -> np.ndarray:
+    """c_n = log n! - n log n + n, so log(e^{-mu} mu^n / n!) = -c_n - bd0(n, mu).
 
-
-@lru_cache(maxsize=200_000)
-def _heat_series_row(q: int, t: float, jmax: int):
-    """H_t(0..jmax) by the positive Poisson-walk series; exact in cancellation
-    regimes where the oscillatory integral loses all significant digits."""
-    nmax = max(jmax + 40, int(t + 12.0 * math.sqrt(t) + 40.0))
-    u = np.zeros(nmax + 2)
-    u[0] = 1.0
-    out = np.zeros(jmax + 1)
-    w = math.exp(-t)
-    for n in range(nmax + 1):
-        if w > 0.0:
-            out += w * u[: jmax + 1]
-        nxt = np.empty_like(u)
-        nxt[0] = u[1]
-        nxt[1:-1] = (u[:-2] + q * u[2:]) / (q + 1.0)
-        nxt[-1] = 0.0
-        u = nxt
-        w *= t / (n + 1.0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=200_000)
-def _heat_row_diff(q: int, t: float, jmax: int):
-    """H_t(j) - delta_{j0} for j = 0..jmax, accurate at absolute scale t.
-
-    The n = 0 term of the Poisson-walk series cancels the identity exactly,
-    so the result carries no O(1) cancellation — essential for the Bochner
-    integral of (W_t - I) f against t^{-1-a/2} near t = 0.
+    Below 16 from lgamma (every term is small); above, 0.5 log(2 pi n) plus
+    the Stirling series, which avoids the cancellation of log n! against
+    n log n (Loader, "Fast and accurate computation of binomial
+    probabilities", 2000).
     """
-    if t > _SERIES_T_MAX:
-        raise ValueError(f"series row restricted to t <= {_SERIES_T_MAX}")
-    nmax = max(jmax + 40, int(t + 12.0 * math.sqrt(t) + 40.0))
-    u = np.zeros(nmax + 2)
-    u[0] = 1.0
-    e0 = np.zeros(jmax + 1)
-    e0[0] = 1.0
-    out = np.zeros(jmax + 1)
-    w = math.exp(-t)
-    for n in range(nmax + 1):
-        if w > 0.0:
-            out += w * (u[: jmax + 1] - e0)
-        nxt = np.empty_like(u)
-        nxt[0] = u[1]
-        nxt[1:-1] = (u[:-2] + q * u[2:]) / (q + 1.0)
-        nxt[-1] = 0.0
-        u = nxt
-        w *= t / (n + 1.0)
-    return tuple(out)
+    n = np.asarray(n, dtype=float)
+    out = np.empty_like(n)
+    small = n < 16
+    ns = n[small]
+    out[small] = gammaln(ns + 1.0) - xlogy(ns, ns) + ns
+    nb = n[~small]
+    x = 1.0 / (nb * nb)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - x / 1188) * x) * x) * x) / nb
+    out[~small] = 0.5 * np.log(2.0 * math.pi * nb) + series
+    return out
 
 
-def _heat_panels(q: int, k: int, s_max: float) -> int:
-    # >= 4(k+2) panels against the ~k oscillation; extra panels when the
-    # integrand concentrates at u=0 on a scale ~ 1/sqrt(s)
-    p = max(8, 4 * (k + 2), int(math.ceil(4.0 * math.sqrt(max(s_max, 1.0)))))
-    return 1 << (p - 1).bit_length()  # bucket to a power of two for caching
+def _bd0(n, mu):
+    """n log(n/mu) + mu - n >= 0, accurate near n = mu; bd0(0, mu) = mu."""
+    d = n - mu
+    with np.errstate(over="ignore"):  # d / mu = inf as mu -> 0: the weight is 0
+        return xlog1py(n, d / mu) - d
+
+
+class _WalkTable:
+    """v[n, j] = u_n(j) rho^{-n} for one q, where u_n(j) is the probability
+    that the n-step simple random walk from o sits at one given vertex at
+    distance j. u_n(j) <= rho^n (the l^2 norm of P^n), so 0 <= v <= 1, and
+    the rescaling keeps rows out to n ~ s_cut rho from underflowing. Beside
+    it, c[n] = _log_stirling(n) for the Poisson weights.
+
+    Rows follow the recursion
+        v_{n+1}(0) = v_n(1) (q+1)/(2 sqrt q),
+        v_{n+1}(j) = (v_n(j-1) + q v_n(j+1)) / (2 sqrt q),
+    run on a state wider than the stored columns. A walk bridge ending at
+    distance j <= J after n steps reaches J + 10 sqrt(n) with probability
+    below e^{-200}, so a state of that width gives the bits of the untruncated
+    recursion, whatever widths earlier builds used. The table is built on
+    first use. Rows extend from the kept state; more columns (in steps of 32)
+    rebuild it, out to the rows that call needs.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.v = np.zeros((0, 0))
+        self.c = np.zeros(0)
+        self.rows = 0
+        self.state = None
+        # every row a time up to s_cut asks for (see _heat_sums); the state
+        # width covers them, so rows never outgrow it
+        mu = _time_cutoff(q) * _walk_decay(q)
+        self.row_plan = int(mu + 12.0 * math.sqrt(mu) + 82.0) if q > 1 else 0
+        self.lock = threading.Lock()
+
+    def get(self, n_max: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """(v, c) with at least rows 0..n_max and columns 0..j_max."""
+        with self.lock:
+            if j_max >= self.v.shape[1] or n_max >= self.row_plan:
+                self.row_plan = max(2 * self.row_plan, n_max + 1)
+                cols = max(self.v.shape[1], 32 * (j_max // 32 + 1))
+                width = cols + int(math.ceil(10.0 * math.sqrt(self.row_plan))) + 2
+                self.state = np.zeros(width)
+                self.state[0] = 1.0
+                self.v = np.empty((64, cols))
+                self.v[0] = self.state[:cols]
+                self.rows = 1
+            if n_max >= self.rows:
+                self._extend(n_max + 1)
+            return self.v, self.c
+
+    def _extend(self, rows: int) -> None:
+        if rows > len(self.v):
+            grown = np.empty((max(rows, 2 * len(self.v)), self.v.shape[1]))
+            grown[: self.rows] = self.v[: self.rows]
+            self.v = grown
+        if rows > len(self.c):
+            self.c = _log_stirling(np.arange(len(self.v)))
+        q, cols, u = self.q, self.v.shape[1], self.state
+        d = 2.0 * math.sqrt(q)
+        c0 = (q + 1.0) / d
+        for n in range(self.rows, rows):
+            nxt = np.empty_like(u)
+            nxt[0] = u[1] * c0
+            nxt[1:-1] = (u[:-2] + q * u[2:]) / d
+            nxt[-1] = 0.0
+            self.v[n] = nxt[:cols]
+            u = nxt
+        self.state = u
+        self.rows = rows
+
+
+_WALK_TABLES: dict = {}
+_WALK_TABLES_LOCK = threading.Lock()
+
+
+def _walk_table(q: int) -> _WalkTable:
+    with _WALK_TABLES_LOCK:
+        if q not in _WALK_TABLES:
+            _WALK_TABLES[q] = _WalkTable(q)
+        return _WALK_TABLES[q]
+
+
+def _heat_sums(q: int, k: int, s: np.ndarray, first: int = 0):
+    """sum_{n >= first} e^{-s} s^n/n! u_n(k) for times 0 < s <= s_cut, with a
+    bound on the error of each value.
+
+    Written as e^{-s b} sum_n Poisson(n; s rho) v_n(k), b = 1 - rho. Each time
+    sums its own window of n from max(k, mu - 12 sqrt(mu) - 40) to
+    max(k, mu + 12 sqrt(mu) + 40) + 40, mu = s rho, over the n of k's parity
+    (u_n(k) = 0 otherwise). The window and the order of the sum depend only
+    on (s, k), so a value does not depend on the batch it comes in.
+
+    The bound adds the Poisson mass outside the window (Chernoff,
+    P(X >= a) <= e^{-bd0(a, mu)} for a >= mu and alike below, times v <= 1)
+    and rounding: about 4 eps per step of the recursion and the terms' log
+    weights, each good to eps (s b + |n - mu|).
+    """
+    rho = _walk_decay(q)
+    b = 1.0 - rho
+    mu = s * rho
+    spread = 12.0 * np.sqrt(mu) + 40.0
+    floor = max(k, first + (first - k) % 2)  # first n of k's parity
+    lo = np.maximum(floor, np.floor(mu - spread)).astype(np.int64)
+    lo += (lo - k) % 2
+    hi = (np.maximum(k, mu + spread) + 40.0).astype(np.int64)
+    counts = (hi - lo) // 2 + 1
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(s)), counts)
+    n = lo[owner] + 2 * (np.arange(int(counts.sum())) - starts[owner])
+    table, c = _walk_table(q).get(int(hi.max()), k)
+    mu_n = mu[owner]
+    terms = np.exp(-(s[owner] * b + c[n] + _bd0(n, mu_n))) * table[n, k]
+    values = np.add.reduceat(terms, starts)
+
+    outside = np.exp(-_bd0(hi + 1, mu))
+    below = lo > floor
+    outside[below] += np.exp(-_bd0(lo[below] - 1, mu[below]))
+    bound = np.exp(-s * b) * outside + (4.0 * hi + s * b + 16.0) * _EPS * values
+    return values, bound
+
+
+def _check_bound(values, bound, spec: QuadratureSpec, what: str) -> None:
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+    if np.any(bound > tol):
+        err = float(np.max(bound))
+        raise NumericalError(
+            f"{what}: error bound {err:.3e} above tolerance", err_estimate=err
+        )
+
+
+def _live_times(q: int, s) -> tuple[np.ndarray, np.ndarray]:
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(np.isnan(s)) or np.any(s <= 0):
+        raise ValueError("times must be positive, not NaN")
+    return s, np.flatnonzero(s <= _time_cutoff(q))
 
 
 def heat_kernel_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
-    """H_s(k) for an array of times s; q = 1 uses the Bessel form."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s <= 0):
-        raise ValueError("times must be positive")
+    """H_s(k) for an array of times s; q = 1 uses the Bessel form.
+
+    For q >= 2, the walk mixture sum_n e^{-s} s^n/n! u_n(k); each value is
+    certified to max(abs_tol, rel_tol |value|) or NumericalError is raised.
+    Times beyond s_cut give 0.
+    """
+    s, live = _live_times(q, s)
     if q == 1:
         return np.asarray(bessel_i_scaled(k, s), dtype=float)
     out = np.zeros_like(s)
-    # spectral gap b = 1 - 2 sqrt(q)/(q+1): beyond s_cut the kernel underflows
-    b = 1.0 - 2.0 * math.sqrt(q) / (q + 1.0)
-    s_cut = 700.0 / b
-    live = np.flatnonzero(s <= s_cut)
-    if len(live) == 0:
-        return out
-    order = live[np.argsort(s[live])]
-    ss = s[order]
-    # process in buckets of comparable magnitude so one rule serves the batch
-    start = 0
-    n = len(ss)
-    while start < n:
-        smax = ss[start] * 16.0
-        stop = int(np.searchsorted(ss, smax, side="right"))
-        stop = max(stop, start + 1)
-        chunk = ss[start:stop]
-        panels = _heat_panels(q, k, float(chunk[-1]))
-        v1 = _heat_fixed(q, k, chunk, panels)
-        v2 = _heat_fixed(q, k, chunk, 2 * panels)
-        # below ~1e8 x the cancellation noise floor of the oscillatory rule
-        # the integral has lost most significant digits; those entries are
-        # recomputed by the positive-term series (the exp factor is <= 1, so
-        # noise is ~ machine eps * sum |weights|) and exempt from the
-        # two-rule convergence check
-        _, wg = _heat_design(q, k, panels)
-        noise = 2e-15 * float(np.sum(np.abs(wg)))
-        resolved = np.abs(v2) >= 1e8 * noise
-        err = float(np.max(np.abs(v1 - v2) * resolved, initial=0.0))
-        if err > max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(v2)))):
-            v3 = _heat_fixed(q, k, chunk, 4 * panels)
-            resolved = np.abs(v3) >= 1e8 * noise
-            err = float(np.max(np.abs(v2 - v3) * resolved, initial=0.0))
-            if err > max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(v3)))):
-                raise NumericalError(
-                    f"heat kernel rule not converged at q={q}, k={k}", err_estimate=err
-                )
-            v2 = v3
-        jmax = -(-(k + 1) // 8) * 8
-        for i in np.flatnonzero(~resolved):
-            si = float(chunk[i])
-            v2[i] = _heat_series_row(q, si, jmax)[k] if si <= _SERIES_T_MAX else 0.0
-        out[order[start:stop]] = v2
-        start = stop
-    return _clamp(out, spec)
+    if len(live):
+        vals, bound = _heat_sums(q, k, s[live])
+        _check_bound(vals, bound, spec, f"heat kernel at q={q}, k={k}")
+        out[live] = vals
+    return out
+
+
+def _heat_minus_delta_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
+    """H_s(k) - delta_{k0} by the walk mixture, without the O(1) cancellation
+    at k = 0 (any q: fractional_laplacian uses it at q = 1 too).
+
+    The n = 0 term e^{-s} of the walk mixture is replaced by expm1(-s), so
+    the result stays accurate relative to s as s -> 0.
+    """
+    s, live = _live_times(q, s)
+    out = np.full_like(s, -1.0 if k == 0 else 0.0)
+    if len(live):
+        vals, bound = _heat_sums(q, k, s[live], first=1)
+        if k == 0:
+            drop = np.expm1(-s[live])
+            vals = vals + drop
+            bound = bound + _EPS * np.abs(drop)
+        _check_bound(vals, bound, spec, f"heat kernel difference at q={q}, k={k}")
+        out[live] = vals
+    return out
 
 
 def _clamp(values, spec: QuadratureSpec):
@@ -240,8 +307,7 @@ def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -
     """H_t(k) on the degree-(q+1) tree; q = 1 routes to the Bessel form."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    _check_time(t)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if q == 1:
@@ -251,8 +317,7 @@ def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -
 
 def heat_kernel_Z(t: float, k: int) -> float:
     """exp(-t) I_k(t): the heat kernel on the integer line."""
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    _check_time(t)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return float(bessel_i_scaled(k, t))
@@ -274,8 +339,7 @@ def stable_kernel(
     """P_t^alpha(k) = int_0^inf f_{alpha,t}(s) H_s(k) ds."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    _check_time(t)
     beta = alpha / 2.0
     tau = t ** (1.0 / beta)  # t^{2/alpha}
 
@@ -303,8 +367,7 @@ def wave_kernel(
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    _check_time(t)
     inv_nu = 1.0 / nu
 
     def integrand(w):
@@ -318,9 +381,13 @@ def wave_kernel(
             out[live] = np.exp(-v[live]) * heat_kernel_many(q, k, s[live], spec)
         return out
 
+    # the integrand spreads over decades of w below its peak (s grows only
+    # like w^{-1/nu}), so panels start one per decade from 1e-3 w_peak to 10
     s_peak = _heat_peak_time(q, k)
     w_peak = (t * t / (4.0 * s_peak)) ** nu
-    bp = sorted({w_peak, min(1.0, 4.0 * w_peak), 1.0})
+    lo = max(1e-3 * w_peak, 1e-300)
+    decades = max(1, math.ceil(math.log10(10.0 / lo)))
+    bp = sorted({w_peak, *(lo * 10.0**i for i in range(decades + 1))})
     val, _ = integrate(integrand, 0.0, math.inf, spec, initial_panels=16, breakpoints=bp)
     val /= math.gamma(nu + 1.0)
     return float(_clamp(np.array([val]), spec)[0])
@@ -371,9 +438,11 @@ class RadialKernel:
 def _tail_bound(geom: TreeGeometry, terms: np.ndarray, spec: QuadratureSpec) -> float:
     """Bound sum_{k>radius} sphere_size(k) K(k) from the computed mass terms.
 
-    Geometric fit when the empirical ratio stays below 0.9 (heat-like decay),
-    otherwise a fitted power-law majorant with a safety factor; families with
-    genuinely heavy radial tails (stable, wave) land in the second branch.
+    Geometric fit when the empirical ratio stays below 0.9 and does not grow
+    (heat-like decay), otherwise a fitted power-law majorant with a safety
+    factor; families with genuinely heavy radial tails (stable, wave) land in
+    the second branch. Growing ratios (wave with large nu) mean the decay
+    slows, and a geometric series from the last ratio falls short of the tail.
     """
     r = geom.radius
     if r < 4:
@@ -385,7 +454,7 @@ def _tail_bound(geom: TreeGeometry, terms: np.ndarray, spec: QuadratureSpec) -> 
         return float(max(spec.abs_tol, 5.0 * tail_terms.max()))
     ratios = terms[-3:] / np.maximum(terms[-4:-1], 1e-300)
     rho = float(ratios.max())
-    if rho < 0.9:
+    if rho < 0.9 and np.all(np.diff(ratios) <= 0.0):
         return float(terms[-1] * rho / (1.0 - rho))
     window = min(8, r // 2)
     ks = np.arange(r - window + 1, r + 1, dtype=float)
@@ -412,6 +481,7 @@ def tabulate(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> RadialKernel:
     """Tabulate K_t(k) for 0 <= k <= radius with a certified tail bound."""
+    _check_time(t)
     key = (geom, family, t, spec)
     with _TABLE_LOCK:
         hit = _TABLE_CACHE.get(key)

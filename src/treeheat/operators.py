@@ -31,7 +31,7 @@ from .geometry import (
 from .kernels import (
     KernelFamily,
     RadialKernel,
-    _heat_row_diff,
+    _heat_minus_delta_many,
     heat_kernel_many,
     tabulate,
 )
@@ -165,14 +165,11 @@ def fractional_laplacian(
     fx = f.value(x)
     idx = np.flatnonzero(c)
 
-    jmax = int(idx[-1]) if len(idx) else 0
-
     def w_minus_f(ts):
-        # series-based H_t(j) - delta_{j0}: no O(1) cancellation at small t
-        out = np.empty(ts.shape)
-        for i, tv in enumerate(ts):
-            row = _heat_row_diff(q, float(tv), jmax)
-            out[i] = sum(c[j] * row[j] for j in idx)
+        # H_t(j) - delta_{j0} without the O(1) cancellation at small t
+        out = np.zeros(ts.shape)
+        for j in idx:
+            out += c[j] * _heat_minus_delta_many(q, int(j), ts, spec)
         return out
 
     def w_only(ts):

@@ -162,6 +162,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["kernel", "--q", "2", "--t", "1"]) == 1  # missing --family
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_kernel_non_finite_time_exits_one(tmp_path, capsys, bad):
+    out = tmp_path / "k.csv"
+    code = main(
+        ["kernel", "--q", "2", "--family", "heat", "--t", bad, "--radius", "6",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TREEHEAT_MAX_SUBDIVISIONS", "1")
     monkeypatch.setenv("TREEHEAT_ABS_TOL", "1e-300")

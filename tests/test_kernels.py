@@ -1,11 +1,14 @@
 import io
 import math
 import re
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, kve
 
 from treeheat.geometry import ROOT, TreeGeometry, ball_adjacency, sphere_size
 from treeheat.kernels import (
@@ -26,6 +29,11 @@ from treeheat.quadrature import DEFAULT_SPEC
 from treeheat.special import bessel_i_scaled
 
 
+@lru_cache(maxsize=1)  # one ball at a time: the q = 3 one holds 3.2M vertices
+def _ball(q, radius):
+    return ball_adjacency(TreeGeometry(q, radius))
+
+
 def walk_series_heat(q, t, k, radius=None, tol=1e-13):
     """Independent oracle: e^{-t} sum_n (t/(q+1))^n / n! * (walks o->y of length n).
 
@@ -35,8 +43,7 @@ def walk_series_heat(q, t, k, radius=None, tol=1e-13):
     """
     if radius is None:
         radius = 16 if q == 2 else 13
-    geom = TreeGeometry(q, radius)
-    verts, index, adj = ball_adjacency(geom)
+    verts, index, adj = _ball(q, radius)
     target = index[tuple([0] * k)]
     vec = np.zeros(len(verts))
     vec[index[ROOT]] = 1.0
@@ -78,6 +85,102 @@ def test_heat_kernel_many_matches_scalar():
     vals = heat_kernel_many(2, 4, s)
     for si, vi in zip(s, vals):
         assert vi == pytest.approx(heat_kernel(2, float(si), 4), rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 4, 9])
+def test_heat_kernel_many_is_batch_independent(q, k):
+    batch = heat_kernel_many(q, k, [2.3, 7.9, 0.01, 300.0])
+    for i, t in enumerate([2.3, 7.9, 0.01, 300.0]):
+        alone = heat_kernel_many(q, k, [t])[0]
+        assert alone.tobytes() == batch[i].tobytes()
+
+
+def spectral_heat(q, t, k):
+    """H_t(k) = int_0^pi e^{t (rho cos u - 1)} g_k(u) du, rho = 2 sqrt(q)/(q+1),
+    from the spherical transform, by mpmath.quad.
+
+    80 digits of working precision leave more than 20 after the cancellation
+    at small t and large k (a value of 1e-54 from an integrand of 1e-3).
+    """
+    with mp.workdps(80):
+        q = mp.mpf(q)
+        rho = 2 * mp.sqrt(q) / (q + 1)
+
+        def f(u):
+            denom = (q + 1) ** 2 - 4 * q * mp.cos(u) ** 2
+            if k == 0:
+                g = 2 * q * (q + 1) / mp.pi * mp.sin(u) ** 2 / denom
+            else:
+                g = (
+                    2 / (mp.pi * q ** (mp.mpf(k) / 2 - 1)) * mp.sin(u)
+                    * (q * mp.sin((k + 1) * u) - mp.sin((k - 1) * u)) / denom
+                )
+            return mp.exp(mp.mpf(t) * (rho * mp.cos(u) - 1)) * g
+
+        # at large t the integrand sits within ~1/sqrt(t) of u = 0
+        return float(mp.quad(f, [0] + [mp.pi / 2**j for j in range(10, -1, -1)]))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("t,k", [(0.05, 20), (0.5, 10), (5.0, 25), (1000.0, 0), (1000.0, 5)])
+def test_heat_kernel_against_spectral_integral(q, t, k):
+    assert heat_kernel(q, t, k) == pytest.approx(spectral_heat(q, t, k), rel=1e-12)
+
+
+def wave_walk_mixture(q, nu, t, k, nmax=800):
+    """T_t^nu(k) = sum_n 2 (t/2)^(nu+n) K_{n-nu}(t) / (n! Gamma(nu)) u_n(k).
+
+    K_{n-nu} directly up to n = ceil(nu), then by K_{m+1} = K_{m-1} + (2m/t) K_m
+    (positive terms) carried as ratios, since K_{n-nu}(t) overflows for large n.
+    u_n(k) is the n-step walk probability at one vertex at distance k.
+    """
+    n0 = math.ceil(nu)
+    logk = np.empty(nmax + 1)
+    for n in range(n0 + 1):
+        logk[n] = math.log(kve(abs(n - nu), t)) - t
+    ratio = math.exp(logk[n0] - logk[n0 - 1])
+    for n in range(n0 + 1, nmax + 1):
+        ratio = 1.0 / ratio + 2.0 * (n - 1 - nu) / t
+        logk[n] = logk[n - 1] + math.log(ratio)
+    n = np.arange(nmax + 1)
+    logw = math.log(2.0) + (nu + n) * math.log(t / 2.0) + logk - gammaln(n + 1.0)
+    w = np.exp(logw - gammaln(nu))
+    u = np.zeros(nmax + 2)
+    u[0] = 1.0
+    total = 0.0
+    for wn in w:
+        total += wn * u[k]
+        nxt = np.zeros_like(u)
+        nxt[0] = u[1]
+        nxt[1:-1] = (u[:-2] + q * u[2:]) / (q + 1.0)
+        u = nxt
+    return total
+
+
+@pytest.mark.parametrize("q,t", [(2, 0.05), (2, 0.5), (3, 1.0)])
+def test_wave_kernel_against_walk_mixture(q, t):
+    for k in range(0, 26, 1):
+        ref = wave_walk_mixture(q, 2.5, t, k)
+        err = abs(wave_kernel(q, 2.5, t, k) - ref)
+        assert err <= max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * ref), k
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_times_rejected(bad):
+    with pytest.raises(ValueError):
+        tabulate(TreeGeometry(2, 6), KernelFamily.heat(), bad)
+    with pytest.raises(ValueError):
+        heat_kernel(2, bad, 1)
+    with pytest.raises(ValueError):
+        stable_kernel(2, 1.0, bad, 1)
+    with pytest.raises(ValueError):
+        wave_kernel(2, 0.75, bad, 1)
+
+
+def test_heat_kernel_many_rejects_nan():
+    with pytest.raises(ValueError):
+        heat_kernel_many(2, 1, [0.5, math.nan])
 
 
 def closed_form_half_stable(t, s):
@@ -137,7 +240,12 @@ def test_family_validation():
 
 @pytest.mark.parametrize(
     "family",
-    [KernelFamily.heat(), KernelFamily.stable(1.3), KernelFamily.wave(0.75)],
+    [
+        KernelFamily.heat(),
+        KernelFamily.stable(1.3),
+        KernelFamily.wave(0.75),
+        KernelFamily.wave(2.5),
+    ],
 )
 def test_tabulate_mass_and_positivity(family):
     geom = TreeGeometry(2, 30)
@@ -147,6 +255,14 @@ def test_tabulate_mass_and_positivity(family):
     mass = kern.mass()
     assert mass <= 1.0 + 1e-8
     assert mass + kern.tail_bound >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("q,t", [(2, 0.5), (2, 5.0), (3, 1.6)])
+def test_tail_bound_covers_slowing_decay(q, t):
+    # wave nu = 2.5: the ratios of successive mass terms grow toward 1, so a
+    # geometric series from the last ratio falls short of the missing mass
+    kern = tabulate(TreeGeometry(q, 25), KernelFamily.wave(2.5), t)
+    assert 0.0 < 1.0 - kern.mass() <= kern.tail_bound
 
 
 def test_tabulate_cache_identity():
