@@ -26,7 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import TreeGeometry, Word, depth, neighbors, validate_word
+from .geometry import (
+    TreeGeometry,
+    Word,
+    depth,
+    enumerate_ball,
+    neighbors,
+    validate_word,
+)
 from .kernels import KernelFamily, tabulate
 from .operators import TreeFunction, apply_kernel
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -92,7 +99,7 @@ def _conjugated_value(
             f.geom,
             {
                 y: math.sqrt(fs.lam(y)) * f.value(y)
-                for y in _ball_words(f.geom)
+                for y in enumerate_ball(f.geom)
                 if f.value(y) != 0.0
             },
         )
@@ -107,12 +114,6 @@ def _conjugated_value(
     )
     w = apply_kernel(kern, g, x)
     return math.exp(b * t / (1.0 - b)) * w / math.sqrt(fs.lam(x))
-
-
-def _ball_words(geom: TreeGeometry):
-    from .geometry import enumerate_ball
-
-    return enumerate_ball(geom)
 
 
 def verify_flow_conjugation(

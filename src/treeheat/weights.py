@@ -1,13 +1,18 @@
 """Admissibility conditions for weights on the tree and companion weights.
 
-The dual series condition (for 1 < p < infinity, conjugate p' = p/(p-1))
+Each condition reads one statistic of the weight u on the spheres around a
+base vertex x against one profile g_j. For 1 < p < infinity (conjugate
+p' = p/(p-1)) the statistic is the partial series
 
-    sum_y (q^{d(x,y)} (1+d(x,y))^e)^{-p'} u(y)^{-p'/p} < infinity
+    sum_j g_j^{p'} S_j,    S_j = sum_{d(x,y)=j} u(y)^{-p'/p},
 
-with profile exponent e (1 + alpha/2 for the stable family, nu + 1 for the
-wave-type family), and the p = 1 variant sup_y (q^d (1+d)^e u(y))^{-1} <
-infinity, decide weighted boundedness of the truncated maximal operators.
-The heat-family condition replaces the profile by the tabulated kernel H_R.
+and for p = 1 the running sup max_j g_j / m_j with m_j = min_{d(x,y)=j} u(y).
+The stable (Thm1-i) and wave-type (Thm2-i) families take the power profile
+g_j = (q^j (1+j)^e)^{-1}, with e = 1 + alpha/2 and e = nu + 1; the heat
+family (Thm3-g) takes the tabulated kernel g_j = H_R(j). Radial weights get
+log S_j and log m_j from the joint distance census, at any base vertex and
+without visiting the ball; explicit tables visit their own entries. Sums
+are taken in logs, so a finite term never passes through an overflow.
 
 Verdicts follow a strict certification policy: `admissible` needs a finite
 certified tail, `not-admissible` needs a divergence certificate (closed-form
@@ -27,8 +32,10 @@ from .errors import NumericalError
 from .geometry import (
     ROOT,
     TreeGeometry,
+    Word,
+    cross_distance_counts,
     depth,
-    radial_distance_counts,
+    distance,
     sphere_size,
     validate_word,
 )
@@ -81,8 +88,11 @@ class WeightSpec:
                 raise ValueError("radial weight length must be radius + 1")
             if any(not v > 0 for v in self.radial):
                 raise ValueError("weights must be strictly positive")
-        if self.table is not None and any(not v > 0 for v in self.table.values()):
-            raise ValueError("weights must be strictly positive")
+        if self.table is not None:
+            if any(not v > 0 for v in self.table.values()):
+                raise ValueError("weights must be strictly positive")
+            if len(self.table) != self.geom.ball_size():
+                raise ValueError("an explicit weight table must cover the whole ball")
 
     @staticmethod
     def from_closed_form(
@@ -116,6 +126,14 @@ class WeightSpec:
                 raise ValueError(f"k={k} outside radius {self.geom.radius}")
             return self.radial[k]
         raise ValueError("explicit weight has no radial form")
+
+    def log_radial(self) -> np.ndarray:
+        """log u_k for k = 0..radius, formed in logs for a closed form."""
+        k = np.arange(self.geom.radius + 1)
+        if self.closed_form is not None:
+            cf = self.closed_form
+            return math.log(cf.c) + cf.a * math.log(self.geom.q) * k + cf.b * np.log1p(k)
+        return np.log(np.array(self.radial))
 
     def value(self, x) -> float:
         x = validate_word(x, self.geom.q)
@@ -156,39 +174,35 @@ class AdmissibilityVerdict:
         }
 
 
-def _series_terms_at(u: WeightSpec, e: float, x) -> np.ndarray:
-    """term_j = sum_{d(x,y)=j} (q^j (1+j)^e)^{-p'} u(y)^{-p'/p} over the ball."""
-    q = u.geom.q
-    p = u.p
-    pp = p / (p - 1.0)
-    r = u.geom.radius
-    x = validate_word(x, q)
-    k = depth(x)
-    jmax = r - k  # spheres around x fully contained in the ball
+def _sphere_stats(u: WeightSpec, x: Word, s: float | None) -> np.ndarray:
+    """log sum_{d(x,y)=j} u(y)^(-s), or log min_{d(x,y)=j} u(y) if s is None,
+    for each sphere j = 0..radius-|x| around x.
+
+    Radial weights read the census of (d(o, y), d(x, y)) pairs; explicit
+    tables visit their entries. Each sum is shifted by its largest log term.
+    """
+    jmax = u.geom.radius - depth(x)
     if jmax < 0:
         raise ValueError("base vertex outside the ball")
-    terms = np.zeros(jmax + 1)
     if u.is_radial:
-        census = radial_distance_counts(q, k, r)
-        for i, row in census.items():
-            if i > r:
-                continue
-            ui = u.radial_value(i) ** (-pp / p)
-            for j, cnt in row.items():
-                if j <= jmax:
-                    terms[j] += cnt * ui
+        census = cross_distance_counts(u.geom.q, depth(x), u.geom.radius)
+        i, j, log_n = np.array([(i, j, math.log(n)) for i, j, n in census]).T
+        j, log_u = j.astype(int), u.log_radial()[i.astype(int)]
     else:
-        from .geometry import distance, enumerate_ball
-
-        for y in enumerate_ball(u.geom):
-            j = distance(x, y)
-            if j <= jmax:
-                terms[j] += u.table.get(y, None) ** (-pp / p) if y in u.table else 0.0
-    with np.errstate(over="ignore"):
-        profile = np.array(
-            [(float(q) ** j * (1.0 + j) ** e) ** (-pp) for j in range(jmax + 1)]
-        )
-    return terms * profile
+        j = np.array([distance(x, y) for y in u.table])
+        log_u, log_n = np.log(np.fromiter(u.table.values(), float)), np.zeros(len(j))
+    keep = j <= jmax
+    j, log_u, log_n = j[keep], log_u[keep], log_n[keep]
+    if s is None:
+        out = np.full(jmax + 1, np.inf)
+        np.minimum.at(out, j, log_u)
+        return out
+    terms = log_n - s * log_u
+    shift = np.full(jmax + 1, -np.inf)
+    np.maximum.at(shift, j, terms)
+    total = np.zeros(jmax + 1)
+    np.add.at(total, j, np.exp(terms - shift[j]))
+    return shift + np.log(total)
 
 
 def _closed_form_series_verdict(u: WeightSpec, e: float):
@@ -210,7 +224,7 @@ def _closed_form_series_verdict(u: WeightSpec, e: float):
     return ADMISSIBLE, gamma, delta
 
 
-def _closed_form_tail(u: WeightSpec, e: float, gamma: float, delta: float) -> float:
+def _closed_form_tail(u: WeightSpec, gamma: float, delta: float) -> float:
     """Certified tail of the closed-form series beyond the ball radius."""
     q = float(u.geom.q)
     p = u.p
@@ -261,63 +275,55 @@ def _table_series_verdict(terms: np.ndarray, allow_divergence: bool = True):
     return INCONCLUSIVE, None
 
 
-def _check_series(u: WeightSpec, e: float, x, condition: str, params: dict):
-    terms = _series_terms_at(u, e, x)
-    partial = float(terms.sum())
+def _sup_settles(seq: np.ndarray) -> bool:
+    """Sup certificate for a tabulated profile, read from the last six terms:
+    geometric decay, or a non-increasing tail within 1% of max(1, sup)."""
+    if len(seq) < 6:
+        return False
+    last = seq[-6:]
+    if np.all(last[:-1] > 0) and np.max(last[1:] / last[:-1]) <= 0.95:
+        return True
+    floor = max(1.0, float(seq.max())) * 0.99
+    return bool(np.all(np.diff(last) <= 0) and np.all(last[1:] >= floor))
+
+
+def _check(u: WeightSpec, x, log_g: np.ndarray, condition: str, params: dict, e=None):
+    """Verdict from the sphere statistic of u around x against log g_j.
+
+    `e` is the exponent of a power profile g_j = (q^j (1+j)^e)^{-1}, which
+    lets a closed-form weight be decided exactly; None for a tabulated
+    profile, whose p = 1 sup may then be certified by `_sup_settles`.
+    """
     x = validate_word(x, u.geom.q)
-    if u.closed_form is not None:
-        verdict, gamma, delta = _closed_form_series_verdict(u, e)
-        if verdict == ADMISSIBLE:
-            tail = _closed_form_tail(u, e, gamma, delta)
-        else:
-            tail = math.inf
-        return AdmissibilityVerdict(condition, u.p, params, x, partial, tail, verdict)
-    verdict, tail = _table_series_verdict(terms, allow_divergence=u.table is None)
-    return AdmissibilityVerdict(condition, u.p, params, x, partial, tail, verdict)
-
-
-def _check_sup(u: WeightSpec, e: float, x, condition: str, params: dict):
-    """p = 1 branch: sup_y (q^d (1+d)^e u(y))^{-1} over spheres around x."""
-    q = u.geom.q
-    x = validate_word(x, q)
-    k = depth(x)
-    jmax = u.geom.radius - k
-    if jmax < 0:
-        raise ValueError("base vertex outside the ball")
-    if u.is_radial and k == 0:
-        inv = [
-            1.0 / (float(q) ** j * (1.0 + j) ** e * u.radial_value(j))
-            for j in range(jmax + 1)
-        ]
-    else:
-        from .geometry import distance, enumerate_ball
-
-        inv_by_j: dict[int, float] = {}
-        for y in enumerate_ball(u.geom):
-            j = distance(x, y)
-            if j > jmax:
-                continue
-            uy = u.value(y) if not u.is_radial else u.radial_value(depth(y))
-            val = 1.0 / (float(q) ** j * (1.0 + j) ** e * uy)
-            inv_by_j[j] = max(inv_by_j.get(j, 0.0), val)
-        inv = [inv_by_j[j] for j in sorted(inv_by_j)]
-    running_sup = float(max(inv))
-    if u.closed_form is not None:
-        cf = u.closed_form
-        # g_k = q^{(1+a)k} (1+k)^{e+b} c; sup of 1/g finite iff g bounded below
-        qexp = 1.0 + cf.a
-        pexp = e + cf.b
-        if qexp > 0.0 or (qexp == 0.0 and pexp >= 0.0):
+    cf = u.closed_form if e is not None else None
+    if u.p == 1.0:
+        log_m = _sphere_stats(u, x, None)
+        seq = np.exp(log_g[: len(log_m)] - log_m)
+        stat, verdict, tail = float(seq.max()), INCONCLUSIVE, None
+        if cf is not None:
+            # g_k = c q^{(1+a)k} (1+k)^{e+b}; sup of 1/g finite iff g bounded below
+            qexp, pexp = 1.0 + cf.a, e + cf.b
+            bounded = qexp > 0.0 or (qexp == 0.0 and pexp >= 0.0)
+            verdict, tail = (ADMISSIBLE, 0.0) if bounded else (NOT_ADMISSIBLE, math.inf)
+        elif e is None and _sup_settles(seq):
             verdict, tail = ADMISSIBLE, 0.0
+    else:
+        pp = u.p / (u.p - 1.0)
+        log_s = _sphere_stats(u, x, pp / u.p)
+        terms = np.exp(log_s + pp * log_g[: len(log_s)])
+        stat = float(terms.sum())
+        if cf is not None:
+            verdict, gamma, delta = _closed_form_series_verdict(u, e)
+            tail = _closed_form_tail(u, gamma, delta) if verdict == ADMISSIBLE else math.inf
         else:
-            verdict, tail = NOT_ADMISSIBLE, math.inf
-        return AdmissibilityVerdict(
-            condition, u.p, params, x, running_sup, tail, verdict
-        )
-    # finite data: the sup over the infinite tree cannot be certified
-    return AdmissibilityVerdict(
-        condition, u.p, params, x, running_sup, None, INCONCLUSIVE
-    )
+            verdict, tail = _table_series_verdict(terms, allow_divergence=u.is_radial)
+    return AdmissibilityVerdict(condition, u.p, params, x, stat, tail, verdict)
+
+
+def _power_profile(geom: TreeGeometry, e: float) -> np.ndarray:
+    """log g_j = -(j log q + e log(1+j)) for j = 0..radius."""
+    j = np.arange(geom.radius + 1)
+    return -(j * math.log(geom.q) + e * np.log1p(j))
 
 
 def check_thm1_i(u: WeightSpec, alpha: float, x=ROOT) -> AdmissibilityVerdict:
@@ -326,9 +332,7 @@ def check_thm1_i(u: WeightSpec, alpha: float, x=ROOT) -> AdmissibilityVerdict:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     e = 1.0 + alpha / 2.0
     params = {"alpha": alpha, "weight": u.label()}
-    if u.p == 1.0:
-        return _check_sup(u, e, x, "Thm1-i", params)
-    return _check_series(u, e, x, "Thm1-i", params)
+    return _check(u, x, _power_profile(u.geom, e), "Thm1-i", params, e)
 
 
 def check_thm2_i(u: WeightSpec, nu: float, x=ROOT) -> AdmissibilityVerdict:
@@ -337,9 +341,7 @@ def check_thm2_i(u: WeightSpec, nu: float, x=ROOT) -> AdmissibilityVerdict:
         raise ValueError(f"nu must be > 0, got {nu}")
     e = nu + 1.0
     params = {"nu": nu, "weight": u.label()}
-    if u.p == 1.0:
-        return _check_sup(u, e, x, "Thm2-i", params)
-    return _check_series(u, e, x, "Thm2-i", params)
+    return _check(u, x, _power_profile(u.geom, e), "Thm2-i", params, e)
 
 
 def check_thm3_g(
@@ -348,66 +350,11 @@ def check_thm3_g(
     """Heat-family condition with the tabulated kernel H_R as the profile."""
     if not R > 0.0:
         raise ValueError(f"R must be > 0, got {R}")
-    q = u.geom.q
-    x = validate_word(x, q)
-    k = depth(x)
-    r = u.geom.radius
-    jmax = r - k
-    if jmax < 0:
-        raise ValueError("base vertex outside the ball")
-    kern = tabulate(TreeGeometry(q, max(r, 4)), KernelFamily.heat(), R, spec)
-    params = {"R": R, "weight": u.label()}
-    p = u.p
-    if p == 1.0:
-        # sup_y H_R(d(x,y)) / u(y)
-        if u.is_radial and k == 0:
-            seq = [kern.value(j) / u.radial_value(j) for j in range(jmax + 1)]
-        else:
-            from .geometry import distance, enumerate_ball
-
-            by_j: dict[int, float] = {}
-            for y in enumerate_ball(u.geom):
-                j = distance(x, y)
-                if j > jmax:
-                    continue
-                uy = u.value(y) if not u.is_radial else u.radial_value(depth(y))
-                by_j[j] = max(by_j.get(j, 0.0), kern.value(j) / uy)
-            seq = [by_j[j] for j in sorted(by_j)]
-        running_sup = float(max(seq))
-        tail5, prev5 = np.array(seq[-5:]), np.array(seq[-6:-1])
-        if len(seq) >= 6 and np.all(prev5 > 0) and np.max(tail5 / prev5) <= 0.95:
-            return AdmissibilityVerdict(
-                "Thm3-g", p, params, x, running_sup, 0.0, ADMISSIBLE
-            )
-        if len(seq) >= 6 and np.all(tail5 >= max(1.0, running_sup) * 0.99):
-            return AdmissibilityVerdict(
-                "Thm3-g", p, params, x, running_sup, 0.0, ADMISSIBLE
-            )
-        return AdmissibilityVerdict(
-            "Thm3-g", p, params, x, running_sup, None, INCONCLUSIVE
-        )
-    pp = p / (p - 1.0)
-    terms = np.zeros(jmax + 1)
-    if u.is_radial:
-        census = radial_distance_counts(q, k, r)
-        for i, row in census.items():
-            if i > r:
-                continue
-            ui = u.radial_value(i) ** (-pp / p)
-            for j, cnt in row.items():
-                if j <= jmax:
-                    terms[j] += cnt * ui
-    else:
-        from .geometry import distance, enumerate_ball
-
-        for y in enumerate_ball(u.geom):
-            j = distance(x, y)
-            if j <= jmax and y in u.table:
-                terms[j] += u.table[y] ** (-pp / p)
-    terms *= np.array([kern.value(j) ** pp for j in range(jmax + 1)])
-    partial = float(terms.sum())
-    verdict, tail = _table_series_verdict(terms, allow_divergence=u.table is None)
-    return AdmissibilityVerdict("Thm3-g", p, params, x, partial, tail, verdict)
+    geom = TreeGeometry(u.geom.q, max(u.geom.radius, 4))
+    kern = tabulate(geom, KernelFamily.heat(), R, spec)
+    with np.errstate(divide="ignore"):
+        log_h = np.log(np.array(kern.values))
+    return _check(u, x, log_h, "Thm3-g", {"R": R, "weight": u.label()})
 
 
 def companion_weight(u: WeightSpec, exponent: float, p: float | None = None) -> WeightSpec:

@@ -130,6 +130,18 @@ def test_weights_subcommand(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "not-admissible"
 
 
+def test_weights_off_root_sup_at_default_radius(capsys):
+    code, out = run(
+        ["weights", "--q", "2", "--p", "1", "--condition", "thm1-i", "--alpha", "1",
+         "--weight", "q^(-1.5*k)", "--base-vertex", "1"],
+        capsys,
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["verdict"] == "not-admissible"
+    assert rec["base_vertex"] == [1]
+
+
 def test_verify_single_check(tmp_path, capsys):
     code, out = run(["verify", "--check", "flow-conjugation"], capsys)
     assert code == 0

@@ -1,10 +1,19 @@
 import json
 import math
 
+import mpmath
 import pytest
 import sympy
 
-from treeheat.geometry import ROOT, TreeGeometry, enumerate_ball, sphere_size
+import treeheat.geometry
+import treeheat.weights
+from treeheat.geometry import (
+    ROOT,
+    TreeGeometry,
+    cross_distance_counts,
+    enumerate_ball,
+    sphere_size,
+)
 from treeheat.weights import (
     ADMISSIBLE,
     INCONCLUSIVE,
@@ -125,6 +134,12 @@ def test_thm3_heat_examples():
     assert v3.verdict == ADMISSIBLE
     assert v3.statistic == pytest.approx(1.0)
 
+    # sup sequence 1 + 0.001 j: nearly flat but growing, hence unbounded
+    u4 = WeightSpec.from_radial(
+        geom, 1.0, [h1.value(k) / (1.0 + 0.001 * k) for k in range(41)]
+    )
+    assert check_thm3_g(u4, 1.0).verdict == INCONCLUSIVE
+
 
 def test_radial_explicit_agreement():
     geom = TreeGeometry(2, 6)
@@ -136,6 +151,51 @@ def test_radial_explicit_agreement():
     b = check_thm1_i(explicit, 1.0)
     assert a.verdict == b.verdict
     assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
+
+    # a non-constant weight, off-root base vertices, every condition
+    values = [2.0 ** (-0.8 * k) * (1.0 + k) ** 1.5 for k in range(7)]
+    for p in (1.0, 2.0):
+        radial = WeightSpec.from_radial(geom, p, values)
+        explicit = WeightSpec.from_table(
+            geom, p, {v: values[len(v)] for v in enumerate_ball(geom)}
+        )
+        for x in ((2,), (1, 0)):
+            for check, param in ((check_thm1_i, 1.0), (check_thm2_i, 0.5), (check_thm3_g, 1.0)):
+                a = check(radial, param, x)
+                b = check(explicit, param, x)
+                assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+
+
+def test_series_statistic_does_not_overflow():
+    # sphere sums of u^(-p'/p) = 3^(2.5 i) exceed the float range long before
+    # the profile (3^j (1+j)^e)^(-3) brings each term back
+    q, p, radius, x = 3, 1.5, 200, (0, 1, 1, 1, 1)
+    u = WeightSpec.from_closed_form(TreeGeometry(q, radius), p, 1.0, -1.25, 0.0)
+    for check, param, e in ((check_thm1_i, 1.0, 1.5), (check_thm2_i, 1.0, 2.0)):
+        v = check(u, param, x)
+        with mpmath.workdps(30):
+            ref = mpmath.fsum(
+                n * mpmath.mpf(3) ** (2.5 * i) * (mpmath.mpf(3) ** j * (1 + j) ** e) ** -3
+                for i, j, n in cross_distance_counts(q, len(x), radius)
+                if j <= radius - len(x)
+            )
+        assert math.isfinite(v.statistic)
+        assert v.statistic == pytest.approx(float(ref), rel=1e-11)
+
+
+def test_radial_sup_never_enumerates_the_ball(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ball enumerated for a radial weight")
+
+    monkeypatch.setattr(treeheat.geometry, "enumerate_ball", forbidden)
+    monkeypatch.setattr(treeheat.weights, "distance", forbidden, raising=False)
+    geom = TreeGeometry(2, 200)
+    u = WeightSpec.from_closed_form(geom, 1.0, 1.0, -1.0, -4.0)
+    radial = WeightSpec.from_radial(geom, 1.0, [u.radial_value(k) for k in range(201)])
+    for w in (u, radial):
+        assert check_thm1_i(w, 1.0, (1,)).verdict == (NOT_ADMISSIBLE if w is u else INCONCLUSIVE)
+        check_thm2_i(w, 1.0, (1,))
+        check_thm3_g(w, 1.0, (1,))
 
 
 def test_monotonicity_of_series_statistic():
@@ -223,3 +283,13 @@ def test_weight_spec_validation():
         WeightSpec.from_radial(geom, 2.0, [1.0, -1.0])  # not positive
     with pytest.raises(ValueError):
         WeightSpec.from_closed_form(geom, 2.0, -1.0, 0.0, 0.0)
+
+
+def test_explicit_table_must_cover_the_ball():
+    geom = TreeGeometry(2, 4)
+    table = {v: 1.0 for v in enumerate_ball(geom)}
+    WeightSpec.from_table(geom, 2.0, table)
+    del table[(0, 1)]
+    for p in (1.0, 2.0):
+        with pytest.raises(ValueError, match="whole ball"):
+            WeightSpec.from_table(geom, p, table)
