@@ -186,6 +186,10 @@ def read_function_csv(path: str, geom: TreeGeometry) -> TreeFunction:
                 raise UsageError(
                     f"{path}: row {i + 1}: vertex outside the radius-{geom.radius} ball"
                 )
+            if not math.isfinite(value):
+                raise UsageError(f"{path}: row {i + 1}: value {parts[1].strip()} is not finite")
+            if word in table:
+                raise UsageError(f"{path}: row {i + 1}: vertex {parts[0].strip()} repeated")
             table[word] = value
     if not table:
         raise UsageError(f"{path}: no data rows")

@@ -1,23 +1,35 @@
 """Radial kernels of the heat semigroup and its two subordinated families.
 
-For q >= 2 the heat kernel of exp(-t L), L f = f - (mean of f over
-neighbors), is the walk mixture
+All three families are functions of the averaging operator P = I - L,
+L f = f - (mean of f over neighbors). For q >= 2 each is a walk mixture
 
-    H_t(k) = sum_n e^{-t} t^n / n! u_n(k),
+    K_t(k) = sum_n w_n u_n(k) = sum_n W_n v_n(k),   W_n = w_n rho^n,
 
 where u_n(k) is the probability that the n-step simple random walk from o
-sits at one given vertex at distance k (Figa-Talamanca and Nebbia, LMS LN
-162; Cowling, Meda and Setti, Trans. AMS 352). The u_n do not depend on t:
-one table per q holds them, rescaled by rho^{-n}, and grows on demand; a
-batch of times is one Poisson-weighted sum over it. Every term is positive,
-so each value keeps its relative accuracy at any k and t, and carries an
-error bound checked against the QuadratureSpec. q = 1 routes through the
-Bessel form exp(-t) I_k(t).
+sits at one given vertex at distance k, v_n(k) = u_n(k) rho^{-n}, rho =
+2 sqrt(q)/(q+1), and w_n >= 0 with sum_n w_n = 1 are the Taylor coefficients
+of the family's multiplier phi(1 - z) (Figa-Talamanca and Nebbia, LMS LN
+162; Cowling, Meda and Setti, Trans. AMS 352; Stinga and Torrea, Comm. PDE
+35). One table per q holds v and grows on demand; it does not depend on t.
 
-Subordinated families are integrated in normalized variables: the stable
-kernel over y = s * t^(-2/alpha) against f_{alpha,1}, the wave-type kernel
-over w = v^nu for the Gamma-weighted time mixture, which removes all moving
-spikes and endpoint singularities from the outer quadrature.
+- heat: w_n = e^{-t} t^n / n!, summed over a window of n around t rho per
+  time (heat_kernel_many);
+- stable P_t^alpha: the coefficients of exp(-t (1 - z)^{alpha/2}), by a
+  recurrence that only adds positive terms;
+- wave-type T_t^nu: w_n = 2 (t/2)^{nu+n} K_{n-nu}(t) / (n! Gamma(nu)), by the
+  upward Bessel-K recurrence.
+
+Every term is positive, so each value keeps its relative accuracy at any k
+and t. For the stable and wave families the ground spherical function bounds
+the walk, v_n(k) <= phi0(k) = (1 + k (q-1)/(q+1)) q^{-k/2}, so the terms
+beyond N sum to at most phi0(k) rho^{N+1}; N is the first index where that
+is 1e-3 rel_tol of the partial sum. Each value carries that tail plus a
+rounding bound, checked against the QuadratureSpec.
+
+q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
+form exp(-t) I_k(t), and the other two families integrate it against the
+stable density (over y = s t^{-2/alpha}) or the Gamma-weighted time mixture
+(over w = v^nu).
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, kve, xlog1py, xlogy
 
 from .errors import NumericalError
 from .geometry import TreeGeometry, radial_distance_counts, sphere_size
@@ -35,6 +47,8 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .special import _f1, bessel_i_scaled
 
 _EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2.0)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_time(t: float) -> None:
@@ -303,6 +317,158 @@ def _clamp(values, spec: QuadratureSpec):
     return np.maximum(values, 0.0)
 
 
+_BLOCK = 256  # weights are made and summed this many rows at a time
+
+
+def _stable_weights(alpha: float, t: float, rho: float):
+    """Blocks of W_n = w_n rho^n for P_t^alpha, each with a bound on the
+    relative error of every weight; the stream is endless.
+
+    The W_n are the Taylor coefficients of exp(-t (1 - rho z)^beta), beta =
+    alpha/2. With c_m = -t (-1)^m binom(beta, m) > 0 for m >= 1,
+        n W_n = sum_{m=1}^n m c_m rho^m W_{n-m},
+    a sum of positive terms. The recurrence runs on e_n = W_n e^t from e_0 = 1,
+    since e^{-t} is subnormal at t = 720 and 0 at t = 800; once an entry
+    passes 2^256 the working array is scaled by 2^-256, exactly, and each W_n
+    keeps the scale it was made at. Every step is decided by the rows before
+    it, so a weight does not depend on how far the stream is read.
+
+    Rounding, to first order: a_m = m c_m rho^m is good to (4m + 2) eps; a
+    product, numpy's pairwise sum of n terms (at most log2 n + 26 roundings)
+    and the division add log2 n + 28. Since every term is positive, induction
+    on n gives (log2 n + 34) n eps, and e^{-t} = g 2^-E adds (t + 2) eps.
+    """
+    beta = 0.5 * alpha
+    exp2 = math.ceil(t / _LN2)
+    g = math.exp(exp2 * _LN2 - t)  # e^{-t} = g 2^-exp2, 1 <= g < 2
+    a = e = np.zeros(0)
+    shift = 0
+    n = 0
+    while True:
+        hi = n + _BLOCK
+        if hi > len(e):
+            m = np.arange(1.0, 2 * hi)
+            a = -t * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[m-1] = m c_m rho^m
+            e = np.concatenate([e[:n], np.empty(2 * hi - n)])
+        rec = np.empty(_BLOCK)
+        shifts = np.empty(_BLOCK, dtype=np.int64)
+        for i in range(n, hi):
+            v = float(np.sum(a[:i] * e[i - 1 :: -1])) / i if i else 1.0
+            if v > 2.0**256:
+                e[:i] = np.ldexp(e[:i], -256)
+                v = math.ldexp(v, -256)
+                shift += 256
+            e[i] = rec[i - n] = v
+            shifts[i - n] = shift
+        rows = np.arange(n, hi)
+        err = ((np.log2(rows + 1.0) + 34.0) * rows + t + 2.0) * _EPS
+        yield np.ldexp(rec * g, shifts - exp2), err
+        n = hi
+
+
+def _log_kve(v: float, x: float) -> float:
+    """log(K_v(x) e^x), for 0 < x <= 1e9 (kve is nan above ~1e10). Where kve
+    overflows (v log(2/x) > 709), K_v(x) = Gamma(v)/2 (2/x)^v to relative
+    O(x^{2 min(v, 1)}), below e^{-1400} there."""
+    val = float(kve(v, x))
+    if math.isinf(val):
+        return math.lgamma(v) - _LN2 + v * math.log(2.0 / x)
+    return math.log(val)
+
+
+def _wave_weights(nu: float, t: float, rho: float):
+    """Blocks of W_n = 2 (t/2)^{nu+n} K_{n-nu}(t) rho^n / (n! Gamma(nu)) for
+    T_t^nu, each with a bound on the relative error of every weight; the
+    stream is endless.
+
+    W_n = W_{n-1} (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t):
+    from kve while n <= ceil(nu), then r_{n+1} = 1/r_n + 2(n - nu)/t, the
+    upward recurrence K_{m+1} = K_{m-1} + (2m/t) K_m, whose terms are
+    positive for m >= 0. Each W_n is a mantissa in [1/2, 1) times a power of
+    2, so neither (t/2)^n K_{n-nu}(t) nor W_0 ~ e^{-t} leaves the float range.
+    The bound follows the relative error of r_n step by step (kve is taken as
+    good to 16 eps) and adds 6 eps per step for the product.
+    """
+    n0 = math.ceil(nu)
+    log_k = [_log_kve(abs(n - nu), t) for n in range(n0 + 1)]
+    parts = (math.log(2.0), nu * math.log(0.5 * t), log_k[0], -t, -math.lgamma(nu))
+    log_w0 = math.fsum(parts)
+    exp2 = math.floor(log_w0 / _LN2)
+    mant = math.exp(log_w0 - exp2 * _LN2)
+    werr = (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 20.0) * _EPS
+    half = 0.5 * t * rho
+    r = rerr = 0.0
+    n = 0
+    while True:
+        mants = np.empty(_BLOCK)
+        exps = np.empty(_BLOCK, dtype=np.int64)
+        err = np.empty(_BLOCK)
+        for i in range(_BLOCK):
+            if n:
+                if n <= n0:
+                    r = math.exp(log_k[n] - log_k[n - 1])
+                    rerr = (abs(log_k[n]) + abs(log_k[n - 1]) + 34.0) * _EPS
+                else:
+                    inv = 1.0 / r
+                    lin = 2.0 * (n - 1 - nu) / t
+                    r = inv + lin
+                    rerr = (inv * (rerr + _EPS) + 3.0 * lin * _EPS) / r + _EPS
+                mant, e2 = math.frexp(mant * (half * r / n))
+                exp2 += e2
+                werr += rerr + 6.0 * _EPS
+            mants[i], exps[i], err[i] = mant, exp2, werr
+            n += 1
+        yield np.ldexp(mants, exps), err
+
+
+def _walk_mixture(q: int, family: KernelFamily, t: float, ks, spec: QuadratureSpec):
+    """Stable or wave values K_t(k) = sum_{n <= N_k} W_n v_n(k), k in ks, q >= 2.
+
+    The weights come in blocks until every k is done. N_k is the first n
+    where phi0(k) rho^{n+1}, the bound on the rest of the sum, is at most
+    1e-3 rel_tol of the partial sum S_n (or of the smallest normal number,
+    so that a value that underflows ends too). It depends on (q, family, t,
+    k, spec) only, and S_n is a running sum in the order of n, so a value is
+    the same to the bit alone and in a table. The bound adds that tail to the
+    weights' rounding and 5 eps per row for the walk table and the sum.
+    """
+    rho = _walk_decay(q)
+    ks = np.asarray(ks, dtype=np.int64)
+    phi0 = (1.0 + ks * ((q - 1.0) / (q + 1.0))) * float(q) ** (-0.5 * ks)
+    # every value is at most phi0(k) sum_n W_n = phi0(k) phi(1 - rho)
+    if family.kind == "stable":
+        log_mass = -t * (1.0 - rho) ** (0.5 * family.alpha)
+        blocks = _stable_weights(family.alpha, t, rho)
+    else:
+        nu = family.nu
+        x = min(t * math.sqrt(1.0 - rho), 1e9)  # the mass falls as x grows
+        log_mass = _LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x
+        blocks = _wave_weights(nu, t, rho)
+    if log_mass < math.log(_TINY):
+        return np.zeros(len(ks))
+    w_parts, err_parts = [], []
+    while True:
+        w, err = next(blocks)
+        w_parts.append(w)
+        err_parts.append(err)
+        rows = _BLOCK * len(w_parts)
+        table, _ = _walk_table(q).get(rows - 1, int(ks.max()))
+        partial = np.cumsum(np.concatenate(w_parts)[:, None] * table[:rows, ks], axis=0)
+        tail = rho ** np.arange(1.0, rows + 1.0)[:, None] * phi0
+        done = tail <= 1e-3 * np.maximum(spec.rel_tol * partial, _TINY)
+        if done[-1].all():  # the tail falls and the partial sums grow
+            break
+    last = done.argmax(axis=0)
+    cols = np.arange(len(ks))
+    values = partial[last, cols]
+    rounding = np.concatenate(err_parts)[last] + (5.0 * last + 2.0) * _EPS
+    _check_bound(
+        values, tail[last, cols] + rounding * values, spec,
+        f"{family.label()} kernel at q={q}, t={t:g}",
+    )
+    return values
+
+
 def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """H_t(k) on the degree-(q+1) tree; q = 1 routes to the Bessel form."""
     if q < 1:
@@ -323,23 +489,18 @@ def heat_kernel_Z(t: float, k: int) -> float:
     return float(bessel_i_scaled(k, t))
 
 
-def _heat_peak_time(q: int, k: int) -> float:
-    """Rough location of the maximum of s -> H_s(k); grid seeding only."""
-    if k == 0:
-        return 1.0
-    if q == 1:
-        return float(k)
-    b = 1.0 - 2.0 * math.sqrt(q) / (q + 1.0)
-    return max(1.0, k / max(4.0 * b, 1.0))
-
-
 def stable_kernel(
     q: int, alpha: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """P_t^alpha(k) = int_0^inf f_{alpha,t}(s) H_s(k) ds."""
+    """P_t^alpha(k): the walk mixture for q >= 2; for q = 1,
+    int_0^inf f_{alpha,t}(s) H_s(k) ds."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     _check_time(t)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if q > 1:
+        return float(_walk_mixture(q, KernelFamily.stable(alpha), t, [k], spec)[0])
     beta = alpha / 2.0
     tau = t ** (1.0 / beta)  # t^{2/alpha}
 
@@ -352,7 +513,7 @@ def stable_kernel(
             out[live] = dens[live] * heat_kernel_many(q, k, tau * y[live], spec)
         return out
 
-    bp = [0.5, 1.0, 2.0, _heat_peak_time(q, k) / tau]
+    bp = [0.5, 1.0, 2.0, max(k, 1) / tau]  # e^{-s} I_k(s) peaks near s = k
     val, _ = integrate(integrand, 0.0, math.inf, spec, initial_panels=16, breakpoints=bp)
     return float(_clamp(np.array([val]), spec)[0])
 
@@ -360,7 +521,8 @@ def stable_kernel(
 def wave_kernel(
     q: int, nu: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """T_t^nu(k): Gamma-weighted time mixture of the heat kernel.
+    """T_t^nu(k): the walk mixture for q >= 2; for q = 1, a Gamma-weighted
+    time mixture of the heat kernel.
 
     In w = v^nu for the substitution v = t^2/(4s):
     T_t^nu(k) = (1/Gamma(nu+1)) int_0^inf e^{-w^{1/nu}} H_{t^2/(4 w^{1/nu})}(k) dw.
@@ -368,6 +530,10 @@ def wave_kernel(
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
     _check_time(t)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if q > 1:
+        return float(_walk_mixture(q, KernelFamily.wave(nu), t, [k], spec)[0])
     inv_nu = 1.0 / nu
 
     def integrand(w):
@@ -383,7 +549,7 @@ def wave_kernel(
 
     # the integrand spreads over decades of w below its peak (s grows only
     # like w^{-1/nu}), so panels start one per decade from 1e-3 w_peak to 10
-    s_peak = _heat_peak_time(q, k)
+    s_peak = max(k, 1)
     w_peak = (t * t / (4.0 * s_peak)) ** nu
     lo = max(1e-3 * w_peak, 1e-300)
     decades = max(1, math.ceil(math.log10(10.0 / lo)))
@@ -487,10 +653,11 @@ def tabulate(
         hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    values = np.array(
-        [kernel_value(geom.q, family, t, k, spec) for k in range(geom.radius + 1)]
-    )
-    values = _clamp(values, spec)
+    ks = range(geom.radius + 1)
+    if geom.q > 1 and family.kind != "heat":
+        values = _walk_mixture(geom.q, family, t, ks, spec)
+    else:
+        values = _clamp([kernel_value(geom.q, family, t, k, spec) for k in ks], spec)
     terms = np.array(
         [sphere_size(geom, k) * v for k, v in enumerate(values)]
     )

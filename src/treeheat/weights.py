@@ -46,6 +46,8 @@ ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
 INCONCLUSIVE = "inconclusive"
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class ClosedFormWeight:
@@ -252,8 +254,14 @@ def _closed_form_tail(u: WeightSpec, gamma: float, delta: float) -> float:
     return coeff * (1.0 + k) ** (delta + 1.0) / (-(delta + 1.0))
 
 
-def _table_series_verdict(terms: np.ndarray, allow_divergence: bool = True):
+def _table_series_verdict(
+    terms: np.ndarray, log_size: np.ndarray, allow_divergence: bool = True
+):
     """Empirical certification for weights given only as finite data.
+
+    Each term is the exp of a sum of logs whose magnitudes add up to
+    `log_size`, so it is good to about eps * log_size relative; ratios
+    within four times that of 1 count as 1.
 
     `allow_divergence` is False for explicit vertex tables: finite explicit
     data can certify convergence (geometric majorant) but never divergence,
@@ -269,8 +277,9 @@ def _table_series_verdict(terms: np.ndarray, allow_divergence: bool = True):
         if np.max(ratios) <= 0.95:
             rho = float(np.max(ratios))
             return ADMISSIBLE, float(terms[-1] * rho / (1.0 - rho))
-        if allow_divergence and np.min(ratios) >= 1.0 and np.all(tail5 >= 1e-8):
-            # terms persistently bounded below with nondecreasing ratio
+        # terms persistently bounded below with nondecreasing ratio
+        slack = 4.0 * _EPS * (float(log_size[-6:].max()) + 16.0)
+        if allow_divergence and np.min(ratios) >= 1.0 - slack and np.all(tail5 >= 1e-8):
             return NOT_ADMISSIBLE, math.inf
     return INCONCLUSIVE, None
 
@@ -310,13 +319,16 @@ def _check(u: WeightSpec, x, log_g: np.ndarray, condition: str, params: dict, e=
     else:
         pp = u.p / (u.p - 1.0)
         log_s = _sphere_stats(u, x, pp / u.p)
-        terms = np.exp(log_s + pp * log_g[: len(log_s)])
+        log_t = pp * log_g[: len(log_s)]
+        terms = np.exp(log_s + log_t)
         stat = float(terms.sum())
         if cf is not None:
             verdict, gamma, delta = _closed_form_series_verdict(u, e)
             tail = _closed_form_tail(u, gamma, delta) if verdict == ADMISSIBLE else math.inf
         else:
-            verdict, tail = _table_series_verdict(terms, allow_divergence=u.is_radial)
+            verdict, tail = _table_series_verdict(
+                terms, np.abs(log_s) + np.abs(log_t), allow_divergence=u.is_radial
+            )
     return AdmissibilityVerdict(condition, u.p, params, x, stat, tail, verdict)
 
 

@@ -186,6 +186,27 @@ def test_kernel_non_finite_time_exits_one(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [("0,nan\n", "row 2: value nan is not finite"),
+     ("0,inf\n", "row 2: value inf is not finite"),
+     ("0,-inf\n", "row 2: value -inf is not finite"),
+     ("0,1.0\n0,2.0\n", "row 3: vertex 0 repeated")],
+)
+@pytest.mark.parametrize("command", ["apply", "maximal"])
+def test_bad_function_rows_exit_one(tmp_path, capsys, command, rows, message):
+    # a non-finite value or a repeated vertex is refused, not computed with
+    fin = tmp_path / "f.csv"
+    fin.write_text("word,value\n" + rows, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    args = [command, "--q", "2", "--family", "heat", "--radius", "1",
+            "--input", str(fin), "--out", str(out)]
+    args += ["--t", "0.5"] if command == "apply" else ["--R", "0.5", "--points", "8"]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TREEHEAT_MAX_SUBDIVISIONS", "1")
     monkeypatch.setenv("TREEHEAT_ABS_TOL", "1e-300")

@@ -14,6 +14,7 @@ from treeheat.geometry import ROOT, TreeGeometry, ball_adjacency, sphere_size
 from treeheat.kernels import (
     KernelFamily,
     RadialKernel,
+    _walk_table,
     comparator_Z,
     heat_kernel,
     heat_kernel_Z,
@@ -25,8 +26,8 @@ from treeheat.kernels import (
     wave_kernel,
     write_kernel_csv,
 )
-from treeheat.quadrature import DEFAULT_SPEC
-from treeheat.special import bessel_i_scaled
+from treeheat.quadrature import DEFAULT_SPEC, integrate
+from treeheat.special import StableDensityParams, bessel_i_scaled, stable_density
 
 
 @lru_cache(maxsize=1)  # one ball at a time: the q = 3 one holds 3.2M vertices
@@ -190,8 +191,6 @@ def closed_form_half_stable(t, s):
 @pytest.mark.parametrize("q,t,k", [(2, 0.5, 0), (2, 0.5, 4), (3, 1.0, 2), (1, 0.7, 3)])
 def test_stable_alpha_one_closed_form_subordination(q, t, k):
     # alpha = 1 admits an explicit subordination density; integrate it directly
-    from treeheat.quadrature import integrate
-
     def f(s):
         return closed_form_half_stable(t, s) * heat_kernel_many(q, k, s)
 
@@ -199,6 +198,101 @@ def test_stable_alpha_one_closed_form_subordination(q, t, k):
                           breakpoints=[t * t / 4.0, 1.0, 4.0])
     got = stable_kernel(q, 1.0, t, k)
     assert got == pytest.approx(expect, abs=1e-8)
+
+
+def subordinated_stable(q, alpha, t, k):
+    """P_t^alpha(k) = int_0^inf f_{alpha,1}(y) H_{y t^(2/alpha)}(k) dy, from the
+    stable density and the heat kernel: the subordination route."""
+    tau = t ** (2.0 / alpha)
+    unit = StableDensityParams(alpha, 1.0)
+
+    def f(y):
+        dens = stable_density(unit, y)
+        out = np.zeros_like(dens)
+        live = dens > 0.0
+        out[live] = dens[live] * heat_kernel_many(q, k, tau * y[live])
+        return out
+
+    breakpoints = [0.5, 1.0, 2.0, max(k, 1) / tau]
+    val, _ = integrate(f, 0.0, math.inf, initial_panels=16, breakpoints=breakpoints)
+    return val
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+def test_stable_kernel_against_subordination(q, alpha, t):
+    for k in range(21):
+        expect = subordinated_stable(q, alpha, t, k)
+        assert stable_kernel(q, alpha, t, k) == pytest.approx(expect, abs=1e-8), k
+
+
+def kesten_mckay(q, family, t):
+    """K_t(0) = int_0^pi phi(1 - rho cos th) dmu(rho cos th), with mu the
+    spectral measure of P at o, density (q+1) sqrt(rho^2 - l^2) / (2 pi (1 - l^2))
+    on [-rho, rho]; by mpmath at 30 digits."""
+    with mp.workdps(30):
+        q, t = mp.mpf(q), mp.mpf(t)
+        rho = 2 * mp.sqrt(q) / (q + 1)
+
+        def f(th):
+            lam = rho * mp.cos(th)
+            if family.kind == "stable":
+                phi = mp.exp(-t * (1 - lam) ** (mp.mpf(family.alpha) / 2))
+            else:
+                nu, x = mp.mpf(family.nu), t * mp.sqrt(1 - lam)
+                phi = 2 * (x / 2) ** nu * mp.besselk(nu, x) / mp.gamma(nu)
+            return phi * (q + 1) * (rho * mp.sin(th)) ** 2 / (2 * mp.pi * (1 - lam**2))
+
+        # at large t the integrand sits within ~1/sqrt(t) of th = 0
+        nodes = [mp.mpf(i) / 100 for i in range(61)]
+        nodes += [mp.mpf("0.7") + (mp.pi - mp.mpf("0.7")) * i / 12 for i in range(13)]
+        return float(mp.quad(f, nodes))
+
+
+@pytest.mark.parametrize("t", [300.0, 800.0])
+@pytest.mark.parametrize("family", [KernelFamily.stable(1.0), KernelFamily.wave(0.75)])
+def test_subordinated_kernels_at_large_time(family, t):
+    # the values (1e-35 at t = 300, 1e-87 at t = 800) lie far below abs_tol,
+    # and the weight e^{-t} of the first walk step underflows at t = 800
+    ref = kesten_mckay(2, family, t)
+    got = kernel_value(2, family, t, 0)
+    assert abs(got - ref) <= DEFAULT_SPEC.rel_tol * ref
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e20])
+def test_walk_mixture_at_extreme_times(t):
+    # kve(2.5, 1e-150) overflows and kve(nu, 1e20) is nan; the values are
+    # 1 (or 0) at k = 0, and T^(1/2) = P^1 still holds relatively at k = 2
+    stable, half = KernelFamily.stable(1.0), KernelFamily.wave(0.5)
+    for family in (stable, half, KernelFamily.wave(2.5)):
+        expect = 1.0 if t < 1.0 else 0.0
+        assert kernel_value(2, family, t, 0) == pytest.approx(expect, rel=1e-10, abs=0.0)
+    assert kernel_value(2, half, t, 2) == pytest.approx(
+        kernel_value(2, stable, t, 2), rel=1e-10, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "family",
+    [KernelFamily.stable(1.0), KernelFamily.stable(1.5),
+     KernelFamily.wave(0.75), KernelFamily.wave(2.5)],
+)
+def test_walk_mixture_alone_equals_table(q, family):
+    kern = tabulate(TreeGeometry(q, 20), family, 0.8)
+    for k in range(21):
+        assert kernel_value(q, family, 0.8, k) == kern.values[k], k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_walk_table_below_ground_spherical_function(q):
+    # v_n(k) = u_n(k) rho^-n <= phi0(k): the truncation of the stable and
+    # wave sums rests on it
+    v, _ = _walk_table(q).get(3000, 60)
+    k = np.arange(61)
+    phi0 = (1.0 + k * (q - 1.0) / (q + 1.0)) * float(q) ** (-k / 2.0)
+    assert np.all(v[:3001, :61].max(axis=0) <= phi0)
 
 
 @pytest.mark.parametrize("q,t", [(1, 0.3), (2, 0.7)])

@@ -166,6 +166,15 @@ def test_radial_explicit_agreement():
                 assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
+def test_constant_series_terms_diverge(c):
+    # u_k = c 3^-k (1+k)^-3 makes the Thm1-i terms at p = 2, alpha = 1 constant
+    # in exact arithmetic; the computed ratios straddle 1 by a few ulps
+    geom = TreeGeometry(3, 60)
+    u = WeightSpec.from_radial(geom, 2.0, [c * 3.0**-k * (1.0 + k) ** -3 for k in range(61)])
+    assert check_thm1_i(u, 1.0).verdict == NOT_ADMISSIBLE
+
+
 def test_series_statistic_does_not_overflow():
     # sphere sums of u^(-p'/p) = 3^(2.5 i) exceed the float range long before
     # the profile (3^j (1+j)^e)^(-3) brings each term back
