@@ -18,12 +18,14 @@ from .kernels import (
     RadialKernel,
     heat_kernel,
     heat_kernel_Z,
+    kernel_block,
     kernel_value,
     stable_kernel,
     tabulate,
     wave_kernel,
 )
 from .operators import (
+    BallOperator,
     MaximalSpec,
     TreeFunction,
     apply_kernel,
@@ -49,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_CHECKS",
     "AdmissibilityVerdict",
+    "BallOperator",
     "DEFAULT_SPEC",
     "FlowStructure",
     "KernelFamily",
@@ -75,6 +78,7 @@ __all__ = [
     "heat_kernel",
     "heat_kernel_Z",
     "integrate",
+    "kernel_block",
     "kernel_value",
     "laplacian",
     "maximal",

@@ -26,7 +26,7 @@ from .errors import NumericalError, RangeError
 from .flow import FlowStructure, verify_flow_conjugation
 from .geometry import ROOT, TreeGeometry, Word, enumerate_ball
 from .kernels import KernelFamily, tabulate, write_kernel_csv
-from .operators import MaximalSpec, TreeFunction, apply_kernel, maximal
+from .operators import BallOperator, MaximalSpec, TreeFunction
 from .quadrature import QuadratureSpec
 from .verify import ALL_CHECKS, reports_to_json, run_suite
 from .weights import WeightSpec, check_thm1_i, check_thm2_i, check_thm3_g
@@ -207,31 +207,30 @@ def cmd_kernel(args, spec) -> int:
     return EXIT_OK
 
 
+def _write_ball(args, header: str, xs, *columns) -> int:
+    """One CSV row per ball vertex: index, word, then each column's value."""
+    lines = [header]
+    for i, (x, *vals) in enumerate(zip(xs, *columns)):
+        lines.append(",".join([str(i), format_word(x), *(f"{v:.16e}" for v in vals)]))
+    _emit(args.out, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
 def cmd_apply(args, spec) -> int:
     geom = TreeGeometry(args.q, args.radius)
     f = read_function_csv(args.input, geom)
-    need = args.radius + max(f.support_radius(), 0)
-    kern = tabulate(
-        TreeGeometry(args.q, max(need, 4)), _family_from_args(args), args.t, spec
-    )
-    lines = ["index,word,value"]
-    for i, x in enumerate(enumerate_ball(geom)):
-        lines.append(f"{i},{format_word(x)},{apply_kernel(kern, f, x):.16e}")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    xs = enumerate_ball(geom)
+    values = BallOperator(_family_from_args(args), f, xs, spec).apply(args.t)
+    return _write_ball(args, "index,word,value", xs, values)
 
 
 def cmd_maximal(args, spec) -> int:
     geom = TreeGeometry(args.q, args.radius)
     f = read_function_csv(args.input, geom)
     mspec = MaximalSpec.default(args.R, args.points, args.rounds)
-    fam = _family_from_args(args)
-    lines = ["index,word,value,argmax_t"]
-    for i, x in enumerate(enumerate_ball(geom)):
-        value, argmax_t = maximal(fam, f, x, mspec, spec)
-        lines.append(f"{i},{format_word(x)},{value:.16e},{argmax_t:.16e}")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    xs = enumerate_ball(geom)
+    values, times = BallOperator(_family_from_args(args), f, xs, spec).maximal(mspec)
+    return _write_ball(args, "index,word,value,argmax_t", xs, values, times)
 
 
 def cmd_weights(args, spec) -> int:

@@ -26,16 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (
-    TreeGeometry,
-    Word,
-    depth,
-    enumerate_ball,
-    neighbors,
-    validate_word,
-)
-from .kernels import KernelFamily, tabulate
-from .operators import TreeFunction, apply_kernel
+import numpy as np
+
+from .geometry import TreeGeometry, depth, enumerate_ball, neighbors, validate_word
+from .kernels import KernelFamily
+from .operators import BallOperator, TreeFunction
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 
@@ -84,38 +79,6 @@ def flow_laplacian(fs: FlowStructure, f: TreeFunction, x) -> float:
     return f.value(x) - acc / (2.0 * math.sqrt(q))
 
 
-def _conjugated_value(
-    fs: FlowStructure,
-    t: float,
-    f: TreeFunction,
-    x: Word,
-    spec: QuadratureSpec,
-) -> float:
-    """u(t, x) = lambda^{-1/2}(x) e^{bt/(1-b)} W_{t/(1-b)}(lambda^{1/2} f)(x)."""
-    q = fs.geom.q
-    b = fs.b
-    if f.is_radial:
-        g = TreeFunction.from_table(
-            f.geom,
-            {
-                y: math.sqrt(fs.lam(y)) * f.value(y)
-                for y in enumerate_ball(f.geom)
-                if f.value(y) != 0.0
-            },
-        )
-    else:
-        g = TreeFunction.from_table(
-            f.geom,
-            {y: math.sqrt(fs.lam(y)) * v for y, v in f.table.items()},
-        )
-    radius = depth(x) + max(g.support_radius(), 0)
-    kern = tabulate(
-        TreeGeometry(q, max(radius, 4)), KernelFamily.heat(), t / (1.0 - b), spec
-    )
-    w = apply_kernel(kern, g, x)
-    return math.exp(b * t / (1.0 - b)) * w / math.sqrt(fs.lam(x))
-
-
 def verify_flow_conjugation(
     fs: FlowStructure,
     t: float,
@@ -125,17 +88,25 @@ def verify_flow_conjugation(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Finite-difference residual of (d/dt + L_flow) on the conjugated
-    semigroup at (t, x); O(h^2) for the correct conjugation identity."""
+    semigroup u(t, y) = lambda^{-1/2}(y) e^{bt/(1-b)} W_{t/(1-b)}(lambda^{1/2} f)(y)
+    at (t, x); O(h^2) for the correct conjugation identity."""
     if not t > h > 0:
         raise ValueError("need t > h > 0")
     x = validate_word(x, fs.geom.q)
-    q = fs.geom.q
+    q, b = fs.geom.q, fs.b
+    support = enumerate_ball(f.geom) if f.is_radial else f.table
+    g = TreeFunction.from_table(
+        f.geom,
+        {y: math.sqrt(fs.lam(y)) * f.value(y) for y in support if f.value(y) != 0.0},
+    )
     verts = [x, *neighbors(x, q)]
+    ball = BallOperator(KernelFamily.heat(), g, verts, spec)
+    root_lam = np.sqrt([fs.lam(y) for y in verts])
     geom_out = TreeGeometry(q, max(depth(y) for y in verts))
     u = {
         tv: TreeFunction.from_table(
             geom_out,
-            {y: _conjugated_value(fs, tv, f, y, spec) for y in verts},
+            dict(zip(verts, math.exp(b * tv / (1.0 - b)) * ball.apply(tv / (1.0 - b)) / root_lam)),
         )
         for tv in (t - h, t, t + h)
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 Word = tuple[int, ...]
 
@@ -80,6 +79,24 @@ def distance(u, v, q: int | None = None) -> int:
     return len(u) + len(v) - 2 * lca
 
 
+def distance_matrix(us, vs) -> np.ndarray:
+    """d(us[i], vs[j]) for two lists of words, all at once: each pair's depths
+    minus twice the length of its common prefix."""
+    width = max((len(w) for w in (*us, *vs)), default=0)
+
+    def padded(words, fill):
+        out = np.full((len(words), width), fill, dtype=np.int64)
+        for i, w in enumerate(words):
+            out[i, : len(w)] = w
+        return out
+
+    same = padded(us, -1)[:, None, :] == padded(vs, -2)[None, :, :]
+    lca = np.cumprod(same, axis=2).sum(axis=2)
+    du = np.array([len(w) for w in us], dtype=np.int64)
+    dv = np.array([len(w) for w in vs], dtype=np.int64)
+    return du[:, None] + dv[None, :] - 2 * lca
+
+
 def neighbors(word: Word, q: int) -> list[Word]:
     """The q+1 neighbors of a vertex in the infinite tree."""
     word = tuple(word)
@@ -105,24 +122,6 @@ def enumerate_ball(geom: TreeGeometry) -> list[Word]:
         out.extend(nxt)
         layer = nxt
     return out
-
-
-def ball_adjacency(geom: TreeGeometry):
-    """Materialize the ball: (ordered vertices, index map, sparse adjacency).
-
-    Only for oracles and non-radial data; radial code paths use sphere_size.
-    """
-    verts = enumerate_ball(geom)
-    index = {w: i for i, w in enumerate(verts)}
-    rows, cols = [], []
-    for w, i in index.items():
-        if w:
-            j = index[w[:-1]]
-            rows += [i, j]
-            cols += [j, i]
-    data = np.ones(len(rows))
-    adj = sparse.csr_matrix((data, (rows, cols)), shape=(len(verts), len(verts)))
-    return verts, index, adj
 
 
 def cross_distance_counts(q: int, k: int, max_i: int):

@@ -24,7 +24,13 @@ and t. For the stable and wave families the ground spherical function bounds
 the walk, v_n(k) <= phi0(k) = (1 + k (q-1)/(q+1)) q^{-k/2}, so the terms
 beyond N sum to at most phi0(k) rho^{N+1}; N is the first index where that
 is 1e-3 rel_tol of the partial sum. Each value carries that tail plus a
-rounding bound, checked against the QuadratureSpec.
+rounding bound, checked against the QuadratureSpec. The radial kernel of
+L^{alpha/2} (fractional_kernel) is a walk mixture of one sign, certified
+the same way.
+
+kernel_block(q, family, ts, kmax) gives K[j, i] = K_{ts[i]}(j) for a whole
+block of times, with one weight stream for all times of a stable block;
+tabulate is one of its columns plus a tail bound, kept in a bounded cache.
 
 q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
 form exp(-t) I_k(t), and the other two families integrate it against the
@@ -36,13 +42,15 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import beta as beta_fn
 from scipy.special import gammaln, kve, xlog1py, xlogy
 
 from .errors import NumericalError
-from .geometry import TreeGeometry, radial_distance_counts, sphere_size
+from .geometry import TreeGeometry, sphere_size
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .special import _f1, bessel_i_scaled
 
@@ -214,8 +222,8 @@ def _walk_table(q: int) -> _WalkTable:
         return _WALK_TABLES[q]
 
 
-def _heat_sums(q: int, k: int, s: np.ndarray, first: int = 0):
-    """sum_{n >= first} e^{-s} s^n/n! u_n(k) for times 0 < s <= s_cut, with a
+def _heat_sums(q: int, k: int, s: np.ndarray):
+    """sum_n e^{-s} s^n/n! u_n(k) for times 0 < s <= s_cut, with a
     bound on the error of each value.
 
     Written as e^{-s b} sum_n Poisson(n; s rho) v_n(k), b = 1 - rho. Each time
@@ -233,8 +241,7 @@ def _heat_sums(q: int, k: int, s: np.ndarray, first: int = 0):
     b = 1.0 - rho
     mu = s * rho
     spread = 12.0 * np.sqrt(mu) + 40.0
-    floor = max(k, first + (first - k) % 2)  # first n of k's parity
-    lo = np.maximum(floor, np.floor(mu - spread)).astype(np.int64)
+    lo = np.maximum(k, np.floor(mu - spread)).astype(np.int64)
     lo += (lo - k) % 2
     hi = (np.maximum(k, mu + spread) + 40.0).astype(np.int64)
     counts = (hi - lo) // 2 + 1
@@ -247,7 +254,7 @@ def _heat_sums(q: int, k: int, s: np.ndarray, first: int = 0):
     values = np.add.reduceat(terms, starts)
 
     outside = np.exp(-_bd0(hi + 1, mu))
-    below = lo > floor
+    below = lo > k
     outside[below] += np.exp(-_bd0(lo[below] - 1, mu[below]))
     bound = np.exp(-s * b) * outside + (4.0 * hi + s * b + 16.0) * _EPS * values
     return values, bound
@@ -262,13 +269,6 @@ def _check_bound(values, bound, spec: QuadratureSpec, what: str) -> None:
         )
 
 
-def _live_times(q: int, s) -> tuple[np.ndarray, np.ndarray]:
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(np.isnan(s)) or np.any(s <= 0):
-        raise ValueError("times must be positive, not NaN")
-    return s, np.flatnonzero(s <= _time_cutoff(q))
-
-
 def heat_kernel_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
     """H_s(k) for an array of times s; q = 1 uses the Bessel form.
 
@@ -276,33 +276,16 @@ def heat_kernel_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
     certified to max(abs_tol, rel_tol |value|) or NumericalError is raised.
     Times beyond s_cut give 0.
     """
-    s, live = _live_times(q, s)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(np.isnan(s)) or np.any(s <= 0):
+        raise ValueError("times must be positive, not NaN")
     if q == 1:
         return np.asarray(bessel_i_scaled(k, s), dtype=float)
     out = np.zeros_like(s)
+    live = np.flatnonzero(s <= _time_cutoff(q))
     if len(live):
         vals, bound = _heat_sums(q, k, s[live])
         _check_bound(vals, bound, spec, f"heat kernel at q={q}, k={k}")
-        out[live] = vals
-    return out
-
-
-def _heat_minus_delta_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
-    """H_s(k) - delta_{k0} by the walk mixture, without the O(1) cancellation
-    at k = 0 (any q: fractional_laplacian uses it at q = 1 too).
-
-    The n = 0 term e^{-s} of the walk mixture is replaced by expm1(-s), so
-    the result stays accurate relative to s as s -> 0.
-    """
-    s, live = _live_times(q, s)
-    out = np.full_like(s, -1.0 if k == 0 else 0.0)
-    if len(live):
-        vals, bound = _heat_sums(q, k, s[live], first=1)
-        if k == 0:
-            drop = np.expm1(-s[live])
-            vals = vals + drop
-            bound = bound + _EPS * np.abs(drop)
-        _check_bound(vals, bound, spec, f"heat kernel difference at q={q}, k={k}")
         out[live] = vals
     return out
 
@@ -320,18 +303,20 @@ def _clamp(values, spec: QuadratureSpec):
 _BLOCK = 256  # weights are made and summed this many rows at a time
 
 
-def _stable_weights(alpha: float, t: float, rho: float):
-    """Blocks of W_n = w_n rho^n for P_t^alpha, each with a bound on the
-    relative error of every weight; the stream is endless.
+def _stable_weights(alpha: float, ts: np.ndarray, rho: float):
+    """Blocks W[i, n] = w_n rho^n for P_t^alpha at every t = ts[i], each with
+    a bound on the relative error of every weight; the stream is endless.
 
     The W_n are the Taylor coefficients of exp(-t (1 - rho z)^beta), beta =
     alpha/2. With c_m = -t (-1)^m binom(beta, m) > 0 for m >= 1,
         n W_n = sum_{m=1}^n m c_m rho^m W_{n-m},
     a sum of positive terms. The recurrence runs on e_n = W_n e^t from e_0 = 1,
-    since e^{-t} is subnormal at t = 720 and 0 at t = 800; once an entry
-    passes 2^256 the working array is scaled by 2^-256, exactly, and each W_n
-    keeps the scale it was made at. Every step is decided by the rows before
-    it, so a weight does not depend on how far the stream is read.
+    since e^{-t} is subnormal at t = 720 and 0 at t = 800. Every 8 steps a row
+    whose newest entry has passed 2^256 is scaled by 2^-256, exactly (an entry
+    is below 3t/n times the largest before it), and each W_n keeps the scale it
+    was made at. Each time's row of e is stored newest first, so each step is
+    numpy's pairwise sum of one contiguous row of products: a weight has the
+    same bits alone and in any batch, however far the stream is read.
 
     Rounding, to first order: a_m = m c_m rho^m is good to (4m + 2) eps; a
     product, numpy's pairwise sum of n terms (at most log2 n + 26 roundings)
@@ -339,30 +324,42 @@ def _stable_weights(alpha: float, t: float, rho: float):
     on n gives (log2 n + 34) n eps, and e^{-t} = g 2^-E adds (t + 2) eps.
     """
     beta = 0.5 * alpha
-    exp2 = math.ceil(t / _LN2)
-    g = math.exp(exp2 * _LN2 - t)  # e^{-t} = g 2^-exp2, 1 <= g < 2
-    a = e = np.zeros(0)
-    shift = 0
-    n = 0
+    exp2 = [math.ceil(t / _LN2) for t in ts.tolist()]
+    g = np.array([math.exp(x * _LN2 - t) for x, t in zip(exp2, ts.tolist())])  # e^-t = g 2^-exp2
+    exp2 = np.array(exp2, dtype=np.int64)
+    neg_t = -ts[:, None]
+    # e_j sits at er[:, cap - 1 - j], so e_{i-1}, ..., e_0 is er[:, cap - i:]
+    a = er = np.zeros((len(ts), 0))
+    cap = n = 0
+    shift = np.zeros(len(ts), dtype=np.int64)
     while True:
         hi = n + _BLOCK
-        if hi > len(e):
+        if hi > cap:
             m = np.arange(1.0, 2 * hi)
-            a = -t * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[m-1] = m c_m rho^m
-            e = np.concatenate([e[:n], np.empty(2 * hi - n)])
-        rec = np.empty(_BLOCK)
-        shifts = np.empty(_BLOCK, dtype=np.int64)
+            a = neg_t * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[:, m-1] = m c_m rho^m
+            grown = np.empty((len(ts), 2 * hi))
+            grown[:, 2 * hi - n :] = er[:, cap - n :]
+            er, cap = grown, 2 * hi
+        rec = np.empty((len(ts), _BLOCK))  # entries of this block made before a rescale
+        kept = np.full(len(ts), n)  # e_j for n <= j < kept[i] are in rec[i]
+        shifts = np.repeat(shift[:, None], _BLOCK, axis=1)
         for i in range(n, hi):
-            v = float(np.sum(a[:i] * e[i - 1 :: -1])) / i if i else 1.0
-            if v > 2.0**256:
-                e[:i] = np.ldexp(e[:i], -256)
-                v = math.ldexp(v, -256)
-                shift += 256
-            e[i] = rec[i - n] = v
-            shifts[i - n] = shift
+            col = cap - 1 - i
+            if not i:
+                er[:, col] = 1.0
+                continue
+            v = np.divide(np.add.reduce(a[:, :i] * er[:, col + 1 :], 1), i, out=er[:, col])
+            if i % 8 == 0 and v.max() > 2.0**256:
+                for r in np.flatnonzero(v > 2.0**256):
+                    rec[r, kept[r] - n : i - n] = er[r, col + 1 : cap - kept[r]][::-1]
+                    kept[r] = i
+                    er[r, col:] = np.ldexp(er[r, col:], -256)
+                    shift[r] += 256
+                    shifts[r, i - n :] += 256
         rows = np.arange(n, hi)
-        err = ((np.log2(rows + 1.0) + 34.0) * rows + t + 2.0) * _EPS
-        yield np.ldexp(rec * g, shifts - exp2), err
+        rec = np.where(rows >= kept[:, None], er[:, cap - hi : cap - n][:, ::-1], rec)
+        err = ((np.log2(rows + 1.0) + 34.0) * rows + ts[:, None] + 2.0) * _EPS
+        yield np.ldexp(rec * g[:, None], shifts - exp2[:, None]), err
         n = hi
 
 
@@ -421,51 +418,129 @@ def _wave_weights(nu: float, t: float, rho: float):
         yield np.ldexp(mants, exps), err
 
 
-def _walk_mixture(q: int, family: KernelFamily, t: float, ks, spec: QuadratureSpec):
-    """Stable or wave values K_t(k) = sum_{n <= N_k} W_n v_n(k), k in ks, q >= 2.
+def _mix(q: int, blocks, times: int, ks, spec: QuadratureSpec):
+    """S[i, k] = sum_{n <= N} W[i, n] v_n(k) over weight blocks (a row per
+    time i), with a bound on the error of each sum.
 
-    The weights come in blocks until every k is done. N_k is the first n
-    where phi0(k) rho^{n+1}, the bound on the rest of the sum, is at most
-    1e-3 rel_tol of the partial sum S_n (or of the smallest normal number,
-    so that a value that underflows ends too). It depends on (q, family, t,
-    k, spec) only, and S_n is a running sum in the order of n, so a value is
-    the same to the bit alone and in a table. The bound adds that tail to the
-    weights' rounding and 5 eps per row for the walk table and the sum.
+    N is the first n where phi0(k) rho^{n+1}, the bound on the rest, is at
+    most 1e-3 rel_tol of the running sum S_n (or of the smallest normal
+    number, so that a value that underflows ends too); so a value is the same
+    to the bit alone and in a block. The bound adds that tail to the weights'
+    rounding and 5 eps per row for the walk table and the sum.
     """
     rho = _walk_decay(q)
     ks = np.asarray(ks, dtype=np.int64)
     phi0 = (1.0 + ks * ((q - 1.0) / (q + 1.0))) * float(q) ** (-0.5 * ks)
+    walk = _walk_table(q)
+    sums = np.zeros((times, len(ks)))
+    values, bound = np.empty_like(sums), np.empty_like(sums)
+    open_ = np.ones(sums.shape, dtype=bool)
+    n = 0
+    while open_.any():
+        w, err = next(blocks)
+        rows = w.shape[1]
+        table, _ = walk.get(n + rows - 1, int(ks.max()))
+        terms = w[:, :, None] * table[n : n + rows, ks]
+        terms[:, 0] += sums
+        partial = np.cumsum(terms, axis=1)
+        tail = rho ** np.arange(n + 1.0, n + rows + 1.0)[:, None] * phi0
+        done = tail <= 1e-3 * np.maximum(spec.rel_tol * partial, _TINY)
+        new = open_ & done.any(axis=1)  # the tail falls and the partial sums grow
+        i, k = np.nonzero(new)
+        first = done[i, :, k].argmax(axis=1)
+        values[i, k] = partial[i, first, k]
+        rounding = err[i, first] + (5.0 * (n + first) + 2.0) * _EPS
+        bound[i, k] = tail[first, k] + rounding * values[i, k]
+        open_ &= ~new
+        sums = partial[:, -1]
+        n += rows
+    return values, bound
+
+
+def _stacked(streams):
+    """The blocks of one weight stream per time, as one stream."""
+    while True:
+        parts = [next(s) for s in streams]
+        yield np.array([w for w, _ in parts]), np.array([e for _, e in parts])
+
+
+def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
+    """Stable or wave values K[k, i] = K_{ts[i]}(k), q >= 2: one weight stream
+    for all times (stable) or one per time (wave), summed by _mix."""
+    rho = _walk_decay(q)
+    ts = np.asarray(ts, dtype=float)
     # every value is at most phi0(k) sum_n W_n = phi0(k) phi(1 - rho)
     if family.kind == "stable":
-        log_mass = -t * (1.0 - rho) ** (0.5 * family.alpha)
-        blocks = _stable_weights(family.alpha, t, rho)
+        log_mass = -ts * (1.0 - rho) ** (0.5 * family.alpha)
     else:
         nu = family.nu
-        x = min(t * math.sqrt(1.0 - rho), 1e9)  # the mass falls as x grows
-        log_mass = _LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x
-        blocks = _wave_weights(nu, t, rho)
-    if log_mass < math.log(_TINY):
-        return np.zeros(len(ks))
-    w_parts, err_parts = [], []
+        xs = [min(t * math.sqrt(1.0 - rho), 1e9) for t in ts.tolist()]  # the mass falls as x grows
+        log_mass = np.array(
+            [_LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x for x in xs]
+        )
+    out = np.zeros((len(ks), len(ts)))
+    live = np.flatnonzero(log_mass >= math.log(_TINY))
+    if not len(live):
+        return out
+    if family.kind == "stable":
+        blocks = _stable_weights(family.alpha, ts[live], rho)
+    else:
+        blocks = _stacked([_wave_weights(family.nu, t, rho) for t in ts[live].tolist()])
+    values, bound = _mix(q, blocks, len(live), ks, spec)
+    for i, t in enumerate(ts[live].tolist()):
+        _check_bound(values[i], bound[i], spec, f"{family.label()} kernel at q={q}, t={t:g}")
+    out[:, live] = values.T
+    return out
+
+
+def _binomial_weights(beta: float, rho: float):
+    """Endless blocks of W_n = |binom(beta, n)| rho^n (W_0 = 0), one running
+    product from W_1 = beta rho, each good to (6n + 2) eps."""
+    w = -1.0  # the running product, carried from block to block
+    n = 0
     while True:
-        w, err = next(blocks)
-        w_parts.append(w)
-        err_parts.append(err)
-        rows = _BLOCK * len(w_parts)
-        table, _ = _walk_table(q).get(rows - 1, int(ks.max()))
-        partial = np.cumsum(np.concatenate(w_parts)[:, None] * table[:rows, ks], axis=0)
-        tail = rho ** np.arange(1.0, rows + 1.0)[:, None] * phi0
-        done = tail <= 1e-3 * np.maximum(spec.rel_tol * partial, _TINY)
-        if done[-1].all():  # the tail falls and the partial sums grow
-            break
-    last = done.argmax(axis=0)
-    cols = np.arange(len(ks))
-    values = partial[last, cols]
-    rounding = np.concatenate(err_parts)[last] + (5.0 * last + 2.0) * _EPS
-    _check_bound(
-        values, tail[last, cols] + rounding * values, spec,
-        f"{family.label()} kernel at q={q}, t={t:g}",
-    )
+        m = np.arange(max(n, 1), n + _BLOCK, dtype=float)
+        block = np.cumprod(np.concatenate([[w], (m - 1.0 - beta) / m * rho]))
+        w = block[-1]
+        if n:
+            block = block[1:]
+        else:
+            block[0] = 0.0
+        rows = np.arange(n, n + _BLOCK)
+        yield block[None, :], ((6.0 * rows + 2.0) * _EPS)[None, :]
+        n += _BLOCK
+
+
+def fractional_kernel(
+    q: int, alpha: float, kmax: int, spec: QuadratureSpec = DEFAULT_SPEC
+) -> np.ndarray:
+    """L^{alpha/2} delta_o(k) for 0 <= k <= kmax, the radial kernel of the
+    fractional power.
+
+    L^beta = (I - P)^beta, beta = alpha/2, has the coefficients 1 and
+    -|binom(beta, n)|, n >= 1, in P, and they sum to 0. So for q >= 2
+        L^beta delta_o(k) = delta_{k0} - sum_{n >= 1} |binom(beta, n)| u_n(k),
+    certified as the stable and wave mixtures are. On the line (q = 1) it is
+    -2^-beta sin(pi beta)/pi Gamma(2 beta + 1) Gamma(k - beta) / Gamma(k + 1 + beta),
+    2^-beta Gamma(2 beta + 1) / Gamma(1 + beta)^2 at k = 0 (Ciaurri, Roncal,
+    Stinga, Torrea and Varona, Adv. Math. 330, 2018; reflection formula).
+    """
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    beta = 0.5 * alpha
+    if q == 1:
+        k = np.arange(1.0, kmax + 1.0)
+        scale = 2.0**-beta
+        out = -scale * math.sin(math.pi * beta) / math.pi * beta_fn(k - beta, 2.0 * beta + 1.0)
+        head = scale * math.exp(math.lgamma(2.0 * beta + 1.0) - 2.0 * math.lgamma(1.0 + beta))
+        return np.concatenate([[head], out])
+    sums, bound = _mix(q, _binomial_weights(beta, _walk_decay(q)), 1, range(kmax + 1), spec)
+    values = -sums[0]
+    values[0] += 1.0
+    _check_bound(values, bound[0] + _EPS * np.abs(values), spec,
+                 f"fractional power at q={q}, alpha={alpha:g}")
     return values
 
 
@@ -476,8 +551,6 @@ def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -
     _check_time(t)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if q == 1:
-        return heat_kernel_Z(t, k)
     return float(heat_kernel_many(q, k, [t], spec)[0])
 
 
@@ -500,7 +573,7 @@ def stable_kernel(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if q > 1:
-        return float(_walk_mixture(q, KernelFamily.stable(alpha), t, [k], spec)[0])
+        return float(_walk_mixture(q, KernelFamily.stable(alpha), [t], [k], spec)[0, 0])
     beta = alpha / 2.0
     tau = t ** (1.0 / beta)  # t^{2/alpha}
 
@@ -533,7 +606,7 @@ def wave_kernel(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if q > 1:
-        return float(_walk_mixture(q, KernelFamily.wave(nu), t, [k], spec)[0])
+        return float(_walk_mixture(q, KernelFamily.wave(nu), [t], [k], spec)[0, 0])
     inv_nu = 1.0 / nu
 
     def integrand(w):
@@ -636,7 +709,32 @@ def _tail_bound(geom: TreeGeometry, terms: np.ndarray, spec: QuadratureSpec) -> 
     return c * r ** (slope + 1.0) / (-slope - 1.0)
 
 
-_TABLE_CACHE: dict = {}
+def kernel_block(
+    q: int, family: KernelFamily, ts, kmax: int, spec: QuadratureSpec = DEFAULT_SPEC
+) -> np.ndarray:
+    """K[j, i] = K_{ts[i]}(j) for 0 <= j <= kmax, every value certified.
+
+    Heat makes one heat_kernel_many call per j; for q >= 2 stable and wave
+    read every j from their weight streams (_walk_mixture); the q = 1
+    subordinated families integrate each value. A value depends on (q,
+    family, t, j, spec) only, not on the block it comes in.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    for t in ts:
+        _check_time(t)
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if q > 1 and family.kind != "heat":
+        return _walk_mixture(q, family, ts, range(kmax + 1), spec)
+    if family.kind == "heat":
+        block = [heat_kernel_many(q, j, ts, spec) for j in range(kmax + 1)]
+    else:
+        block = [[kernel_value(q, family, t, j, spec) for t in ts] for j in range(kmax + 1)]
+    return _clamp(block, spec)
+
+
+_TABLE_CACHE_SIZE = 256  # tables kept, the least recently used dropped first
+_TABLE_CACHE: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 
 
@@ -646,43 +744,25 @@ def tabulate(
     t: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> RadialKernel:
-    """Tabulate K_t(k) for 0 <= k <= radius with a certified tail bound."""
+    """Tabulate K_t(k) for 0 <= k <= radius, one column of kernel_block, with
+    a certified tail bound."""
     _check_time(t)
     key = (geom, family, t, spec)
     with _TABLE_LOCK:
         hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ks = range(geom.radius + 1)
-    if geom.q > 1 and family.kind != "heat":
-        values = _walk_mixture(geom.q, family, t, ks, spec)
-    else:
-        values = _clamp([kernel_value(geom.q, family, t, k, spec) for k in ks], spec)
-    terms = np.array(
-        [sphere_size(geom, k) * v for k, v in enumerate(values)]
-    )
+        if hit is not None:
+            _TABLE_CACHE.move_to_end(key)
+            return hit
+    values = kernel_block(geom.q, family, [t], geom.radius, spec)[:, 0]
+    terms = np.array([sphere_size(geom, k) * v for k, v in enumerate(values)])
     bound = _tail_bound(geom, terms, spec)
     kernel = RadialKernel(geom, family, t, tuple(float(v) for v in values), bound)
     with _TABLE_LOCK:
-        _TABLE_CACHE.setdefault(key, kernel)
+        kernel = _TABLE_CACHE.setdefault(key, kernel)
+        _TABLE_CACHE.move_to_end(key)
+        while len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+            _TABLE_CACHE.popitem(last=False)
     return kernel
-
-
-def radial_convolve(q: int, a, b, k: int) -> float:
-    """(A * B)(k) = sum_z A(d(o, z)) B(d(x, z)) for radial tables A, B.
-
-    Uses the joint distance census of the o-x geodesic; A and B must extend
-    far enough that every census entry is covered (len(a) + len(b) > 2k not
-    required, but truncation is the caller's responsibility).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    total = 0.0
-    for i, row in radial_distance_counts(q, k, len(a) - 1).items():
-        for j, cnt in row.items():
-            if j < len(b):
-                total += cnt * a[i] * b[j]
-    return total
 
 
 def write_kernel_csv(kernel: RadialKernel, fh) -> None:

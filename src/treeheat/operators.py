@@ -2,15 +2,14 @@
 kernel application, truncated maximal functions, and evolution-equation
 residuals.
 
-The fractional power uses the Bochner integral
-    L^{a/2} f(x) = (1/Gamma(-a/2)) int_0^inf (W_t f(x) - f(x)) t^{-1-a/2} dt,
-whose normalization 1/Gamma(-a/2) (negative for a in (0,2)) is fixed by the
-generator requirement d/dt|_{0+} P_t^a f = -L^{a/2} f. The integral is split
-at t = 1: on (0, 1] the substitution t = tau^m removes the t^{-a/2}
-singularity; on [1, inf) the constant part -f(x) integrates in closed form
-and only the decaying W_t f part is quadratured.
+A radial kernel acts through the cross coefficients C[x, j], the sum of f
+over the sphere of radius j around x: K_t f(x) = sum_j C[x, j] K_t(j). The
+ball operator builds C once for all its vertices and multiplies it, over j
+in order, by a block K[j, i] = K_{t_i}(j) (kernels.kernel_block). Its
+maximal function takes the max over the grid's columns, then refines every
+vertex in step, one block per golden-section step; apply_kernel, maximal and
+fractional_laplacian (with kernels.fractional_kernel) use the same C.
 """
-
 from __future__ import annotations
 
 import math
@@ -23,19 +22,13 @@ from .geometry import (
     TreeGeometry,
     Word,
     depth,
-    distance,
+    distance_matrix,
     neighbors,
     radial_distance_counts,
     validate_word,
 )
-from .kernels import (
-    KernelFamily,
-    RadialKernel,
-    _heat_minus_delta_many,
-    heat_kernel_many,
-    tabulate,
-)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .kernels import KernelFamily, RadialKernel, fractional_kernel, kernel_block
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -115,110 +108,83 @@ def laplacian(f: TreeFunction, x) -> float:
     return f.value(x) - sum(f.value(y) for y in nb) / (f.geom.q + 1.0)
 
 
-def _cross_coefficients(f: TreeFunction, x: Word) -> np.ndarray:
-    """c_j = sum of f over the sphere of radius j around x; W_t f(x) = sum c_j H_t(j)."""
-    q = f.geom.q
+def _radial_cross(f: TreeFunction, k: int) -> np.ndarray:
+    """C[x, j] for a radial f at any x with d(o, x) = k, from the distance census."""
+    sup = f.support_radius()
+    if sup < 0:
+        return np.zeros(1)
+    c = np.zeros(k + sup + 1)
+    for i, row in radial_distance_counts(f.geom.q, k, sup).items():
+        fi = f.radial[i]
+        if fi != 0.0:
+            for j, cnt in row.items():
+                c[j] += cnt * fi
+    return c
+
+
+def _cross_matrix(f: TreeFunction, xs) -> np.ndarray:
+    """C[i, j] = sum of f over the sphere of radius j around xs[i]."""
     if f.is_radial:
-        k = depth(x)
-        sup = f.support_radius()
-        if sup < 0:
-            return np.zeros(1)
-        c = np.zeros(k + sup + 1)
-        census = radial_distance_counts(q, k, sup)
-        for i, row in census.items():
-            fi = f.radial[i]
-            if fi != 0.0:
-                for j, cnt in row.items():
-                    c[j] += cnt * fi
-        return c
+        rows = {k: _radial_cross(f, k) for k in sorted({depth(x) for x in xs})}
+        C = np.zeros((len(xs), max(len(r) for r in rows.values())))
+        for i, x in enumerate(xs):
+            C[i, : len(rows[depth(x)])] = rows[depth(x)]
+        return C
     items = f.support_items()
     if not items:
-        return np.zeros(1)
-    jmax = max(distance(x, w) for w, _ in items)
-    c = np.zeros(jmax + 1)
-    for w, v in items:
-        c[distance(x, w)] += v
-    return c
+        return np.zeros((len(xs), 1))
+    D = distance_matrix(xs, [w for w, _ in items])
+    C = np.zeros((len(xs), int(D.max()) + 1))
+    rows = np.arange(len(xs))
+    for s, (_, v) in enumerate(items):  # in order, so each sum runs as a loop would
+        C[rows, D[:, s]] += v
+    return C
+
+
+def _combine(C: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """V[x, i] = sum_j C[x, j] K[j, i], summed over j in order."""
+    out = np.zeros((C.shape[0], K.shape[1]))
+    for j in range(C.shape[1]):
+        out += C[:, j, None] * K[j]
+    return out
+
+
+def radial_convolve(q: int, a, b, k: int) -> float:
+    """(A * B)(k) = sum_z A(d(o, z)) B(d(x, z)) for radial tables A, B and
+    d(o, x) = k; the terms with d(x, z) beyond the table B are left out."""
+    c = _radial_cross(TreeFunction.from_radial(TreeGeometry(q, len(a) - 1), a), k)[: len(b)]
+    return float(_combine(c[None, :], np.asarray(b, dtype=float)[: len(c), None])[0, 0])
 
 
 def heat_apply(q: int, f: TreeFunction, x, t, spec: QuadratureSpec = DEFAULT_SPEC):
     """W_t f(x) for an array of times t, by exact radial summation."""
-    x = validate_word(x, f.geom.q)
-    c = _cross_coefficients(f, x)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(ts)
-    for j, cj in enumerate(c):
-        if cj != 0.0:
-            out += cj * heat_kernel_many(q, j, ts, spec)
+    if q != f.geom.q:
+        raise ValueError("q differs from the tree of f")
+    out = BallOperator(KernelFamily.heat(), f, [x], spec).block(np.atleast_1d(t))[0]
     return out if np.ndim(t) else float(out[0])
 
 
 def fractional_laplacian(
     f: TreeFunction, alpha: float, x, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """The Bochner-integral fractional power applied pointwise."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    x = validate_word(x, f.geom.q)
-    q = f.geom.q
-    c = _cross_coefficients(f, x)
-    fx = f.value(x)
-    idx = np.flatnonzero(c)
-
-    def w_minus_f(ts):
-        # H_t(j) - delta_{j0} without the O(1) cancellation at small t
-        out = np.zeros(ts.shape)
-        for j in idx:
-            out += c[j] * _heat_minus_delta_many(q, int(j), ts, spec)
-        return out
-
-    def w_only(ts):
-        out = np.zeros(ts.shape)
-        for j in idx:
-            out += c[j] * heat_kernel_many(q, int(j), ts, spec)
-        return out
-
-    half = alpha / 2.0
-    # t = tau^m smooths the t^{-a/2} endpoint singularity
-    m = int(math.ceil(2.0 / (2.0 - alpha))) + 1
-
-    # fold the powers of tau so no intermediate quantity overflows:
-    # (W_t f - f) t^{-1-half} dt = (W_t f - f)/t * m * tau^{m(1-half)-1} dtau
-    near_exp = m * (1.0 - half) - 1.0
-
-    def near(tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        ok = tau ** m > 0.0  # tau^m can underflow for large m
-        tv = tau[ok] ** m
-        out[ok] = w_minus_f(tv) / tv * m * tau[ok] ** near_exp
-        return out
-
-    def far(ts):
-        ts = np.asarray(ts, dtype=float)
-        return w_only(ts) * ts ** (-1.0 - half)
-
-    i_near, _ = integrate(near, 0.0, 1.0, spec, initial_panels=16)
-    i_far, _ = integrate(far, 1.0, math.inf, spec, initial_panels=16)
-    total = i_near + i_far - fx * 2.0 / alpha
-    return total / math.gamma(-half)
+    """L^{alpha/2} f(x), exact over the finite support of f."""
+    C = _cross_matrix(f, [validate_word(x, f.geom.q)])
+    kern = fractional_kernel(f.geom.q, alpha, C.shape[1] - 1, spec)
+    return float(_combine(C, kern[:, None])[0, 0])
 
 
 def apply_kernel(kernel: RadialKernel, f: TreeFunction, x) -> float:
     """sum_y K_t(d(x, y)) f(y), exact over the finite support of f."""
     if kernel.geom.q != f.geom.q:
         raise ValueError("kernel and function live on different trees")
-    x = validate_word(x, f.geom.q)
-    c = _cross_coefficients(f, x)
-    needed = len(c) - 1
-    while needed > 0 and c[needed] == 0.0:
-        needed -= 1
+    C = _cross_matrix(f, [validate_word(x, f.geom.q)])
+    needed = max(np.flatnonzero(C[0]).tolist(), default=0)
     if needed > kernel.geom.radius:
         raise ValueError(
             f"support of f reaches distance {needed} from x; kernel table "
             f"radius {kernel.geom.radius} is insufficient (need >= {needed})"
         )
-    return float(sum(c[j] * kernel.value(j) for j in range(needed + 1)))
+    return float(_combine(C[:, : needed + 1], np.array(kernel.values)[:, None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -253,6 +219,63 @@ class MaximalSpec:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+class BallOperator:
+    """K_t f at every vertex of xs at once, for one kernel family: the cross
+    coefficients are built once, and each call takes one kernel block."""
+
+    def __init__(
+        self, family: KernelFamily, f: TreeFunction, xs, spec: QuadratureSpec = DEFAULT_SPEC
+    ):
+        self.family, self.q, self.spec = family, f.geom.q, spec
+        self.C = _cross_matrix(f, [validate_word(x, f.geom.q) for x in xs])
+
+    def block(self, ts) -> np.ndarray:
+        """V[x, i] = K_{ts[i]} f(x)."""
+        K = kernel_block(self.q, self.family, ts, self.C.shape[1] - 1, self.spec)
+        return _combine(self.C, K)
+
+    def apply(self, t: float) -> np.ndarray:
+        return self.block([t])[:, 0]
+
+    def _at(self, ts: np.ndarray) -> np.ndarray:
+        """|K_t f(x)| at the times ts[x, m] of each vertex: one block over
+        the distinct times."""
+        times, inv = np.unique(ts, return_inverse=True)
+        values = self.block(times)
+        return np.abs(values[np.arange(len(ts))[:, None], inv.reshape(ts.shape)])
+
+    def maximal(self, mspec: MaximalSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Certified lower bounds for sup_{0<t<R} |K_t f(x)| and their
+        witness times.
+
+        Grid evaluation plus golden-section refinement around each vertex's
+        discrete argmax; each value is the running maximum, so it can only
+        increase under grid refinement.
+        """
+        grid = np.array(mspec.grid)
+        values = np.abs(self.block(grid))
+        best = values.argmax(axis=1)
+        best_v, best_t = values[np.arange(len(best)), best], grid[best]
+        # each argmax's grid neighbours, with grid[0]/2 and min(R, 2 grid[-1]) at the ends
+        ends = np.concatenate([[grid[0] * 0.5], grid, [min(mspec.R, grid[-1] * 2.0)]])
+        a, b = ends[best], ends[best + 2]
+        t1 = b - _GOLDEN * (b - a)
+        t2 = a + _GOLDEN * (b - a)
+        v1, v2 = self._at(np.stack([t1, t2], axis=1)).T
+        for _ in range(mspec.refinement_rounds):
+            left = v1 >= v2
+            a = np.where(left, a, t1)
+            b = np.where(left, t2, b)
+            tn = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+            vn = self._at(tn[:, None])[:, 0]
+            t1, t2 = np.where(left, tn, t2), np.where(left, t1, tn)
+            v1, v2 = np.where(left, vn, v2), np.where(left, v1, vn)
+        for tv, vv in ((t1, v1), (t2, v2)):
+            up = vv > best_v
+            best_v, best_t = np.where(up, vv, best_v), np.where(up, tv, best_t)
+        return best_v, best_t
+
+
 def maximal(
     family: KernelFamily,
     f: TreeFunction,
@@ -260,59 +283,10 @@ def maximal(
     mspec: MaximalSpec,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ):
-    """Certified lower bound for sup_{0<t<R} |K_t f(x)| and its witness time.
-
-    Grid evaluation plus golden-section refinement around the discrete
-    argmax; the returned value is the running maximum, so it can only
-    increase under grid refinement.
-    """
-    x = validate_word(x, f.geom.q)
-    radius = max(depth(x) + max(f.support_radius(), 0), 4)
-    geom = TreeGeometry(f.geom.q, radius)
-
-    def g(t: float) -> float:
-        return abs(apply_kernel(tabulate(geom, family, t, spec), f, x))
-
-    values = [g(t) for t in mspec.grid]
-    best = int(np.argmax(values))
-    best_v = values[best]
-    best_t = mspec.grid[best]
-    lo = mspec.grid[best - 1] if best > 0 else mspec.grid[0] * 0.5
-    hi = mspec.grid[best + 1] if best + 1 < len(mspec.grid) else min(
-        mspec.R, mspec.grid[-1] * 2.0
-    )
-    a, b = lo, hi
-    t1 = b - _GOLDEN * (b - a)
-    t2 = a + _GOLDEN * (b - a)
-    v1, v2 = g(t1), g(t2)
-    for _ in range(mspec.refinement_rounds):
-        if v1 >= v2:
-            b, t2, v2 = t2, t1, v1
-            t1 = b - _GOLDEN * (b - a)
-            v1 = g(t1)
-        else:
-            a, t1, v1 = t1, t2, v2
-            t2 = a + _GOLDEN * (b - a)
-            v2 = g(t2)
-    for tv, vv in ((t1, v1), (t2, v2)):
-        if vv > best_v:
-            best_v, best_t = vv, tv
-    return best_v, best_t
-
-
-def _evolved(
-    family: KernelFamily,
-    f: TreeFunction,
-    t: float,
-    vertices,
-    spec: QuadratureSpec,
-) -> dict:
-    radius = max(
-        (depth(validate_word(v, f.geom.q)) for v in vertices), default=0
-    ) + max(f.support_radius(), 0)
-    geom = TreeGeometry(f.geom.q, max(radius, 4))
-    kern = tabulate(geom, family, t, spec)
-    return {tuple(v): apply_kernel(kern, f, v) for v in vertices}
+    """Certified lower bound for sup_{0<t<R} |K_t f(x)| and its witness time:
+    BallOperator.maximal at one vertex."""
+    values, times = BallOperator(family, f, [x], spec).maximal(mspec)
+    return float(values[0]), float(times[0])
 
 
 def pde_residual(
@@ -339,35 +313,23 @@ def pde_residual(
     q = f.geom.q
 
     if family.kind == "stable":
+        if not f.is_radial:
+            raise ValueError("stable residual implemented for radial data")
         m = depth(x) + max(f.support_radius(), 0) + fractional_margin
-        geom = TreeGeometry(q, m)
-        if f.is_radial:
-            kplus = m + max(f.support_radius(), 0)
-            gk = TreeGeometry(q, kplus)
-
-            def u_fn(tv):
-                kern = tabulate(gk, family, tv, spec)
-                vals = [
-                    apply_kernel(kern, f, (0,) * k if k else ROOT)
-                    for k in range(m + 1)
-                ]
-                return TreeFunction.from_radial(geom, vals)
-
-            up, u0, um = (u_fn(tv) for tv in (t + h, t, t - h))
-            dudt = (up.value(x) - um.value(x)) / (2.0 * h)
-            return dudt + fractional_laplacian(u0, family.alpha, x, spec)
-        raise ValueError("stable residual implemented for radial data")
+        spine = BallOperator(family, f, [(0,) * k for k in range(m + 1)], spec)
+        up, u0, um = (spine.apply(tv) for tv in (t + h, t, t - h))
+        dudt = (up[depth(x)] - um[depth(x)]) / (2.0 * h)
+        u = TreeFunction.from_radial(TreeGeometry(q, m), u0)
+        return float(dudt + fractional_laplacian(u, family.alpha, x, spec))
 
     nb = neighbors(x, q)
-    verts = [x, *nb]
-    up = _evolved(family, f, t + h, verts, spec)
-    u0 = _evolved(family, f, t, verts, spec)
-    um = _evolved(family, f, t - h, verts, spec)
-    lap = u0[x] - sum(u0[y] for y in nb) / (q + 1.0)
+    ball = BallOperator(family, f, [x, *nb], spec)
+    up, u0, um = (ball.apply(tv) for tv in (t + h, t, t - h))
+    lap = u0[0] - sum(u0[1:].tolist()) / (q + 1.0)
     if family.kind == "heat":
-        dudt = (up[x] - um[x]) / (2.0 * h)
-        return dudt + lap
+        dudt = (up[0] - um[0]) / (2.0 * h)
+        return float(dudt + lap)
     # wave-type: second-order in t with the 1/t coefficient at the center node
-    dtt = (up[x] - 2.0 * u0[x] + um[x]) / (h * h)
-    dt1 = (up[x] - um[x]) / (2.0 * h)
-    return dtt + (1.0 - 2.0 * family.nu) / t * dt1 - lap
+    dtt = (up[0] - 2.0 * u0[0] + um[0]) / (h * h)
+    dt1 = (up[0] - um[0]) / (2.0 * h)
+    return float(dtt + (1.0 - 2.0 * family.nu) / t * dt1 - lap)

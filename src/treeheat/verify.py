@@ -24,12 +24,12 @@ from .geometry import ROOT, TreeGeometry, distance, enumerate_ball
 from .kernels import (
     KernelFamily,
     comparator_Z,
-    radial_convolve,
+    kernel_block,
     stable_kernel,
     tabulate,
     wave_kernel,
 )
-from .operators import MaximalSpec, TreeFunction, apply_kernel
+from .operators import BallOperator, MaximalSpec, TreeFunction, radial_convolve
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .special import eta_bound
 from .weights import WeightSpec, companion_weight
@@ -184,24 +184,14 @@ def _check_initial_data(spec, cfg):
     rows = []
     passed = True
     worst_final = 0.0
+    xs = enumerate_ball(geom)
+    ts = [2.0 ** (-j) for j in js]
     for fam in families:
         for name, f in datasets.items():
-            sup = max(f.support_radius(), 0)
-            # generous tabulation radius: the stable/wave kernels decay only
-            # polynomially (times q^{-k}), so tail certification needs room
-            gk = TreeGeometry(q, max(3 + sup, cfg.get("radius", 20)))
-            gaps = []
-            for j in js:
-                t = 2.0 ** (-j)
-                kern = tabulate(gk, fam, t, spec)
-                gap = max(
-                    abs(apply_kernel(kern, f, x) - f.value(x))
-                    for x in enumerate_ball(geom)
-                )
-                gaps.append(gap)
-                rows.append(
-                    {"family": fam.label(), "data": name, "j": j, "t": t, "gap": gap}
-                )
+            fx = np.array([f.value(x) for x in xs])[:, None]
+            gaps = np.abs(BallOperator(fam, f, xs, spec).block(ts) - fx).max(axis=0).tolist()
+            rows += [{"family": fam.label(), "data": name, "j": j, "t": t, "gap": gap}
+                     for j, t, gap in zip(js, ts, gaps)]
             monotone = all(
                 g2 <= g1 * (1.0 + 1e-7) + 1e-15 for g1, g2 in zip(gaps, gaps[1:])
             )
@@ -505,14 +495,8 @@ def _check_weights_roundtrip(spec, cfg):
     masks = [dmat == j for j in range(jmax + 1)]
 
     grid_times = MaximalSpec.default(R).grid
-    geom_k = TreeGeometry(q, jmax)
     fam = KernelFamily.stable(alpha)
-    ktab = np.array(
-        [
-            [tabulate(geom_k, fam, t, spec).value(j) for t in grid_times]
-            for j in range(jmax + 1)
-        ]
-    )
+    ktab = kernel_block(q, fam, grid_times, jmax, spec)
     v_vec = np.array([v.radial_value(len(x)) for x in xs])
     max_ratio = 0.0
     rows = []

@@ -16,7 +16,8 @@ import numpy as np
 import sympy
 
 from treeheat.cli import main
-from treeheat.geometry import ROOT, TreeGeometry, ball_adjacency
+from ball import ball_adjacency
+from treeheat.geometry import ROOT, TreeGeometry
 from treeheat.kernels import (
     KernelFamily,
     heat_kernel,

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from ball import ball_adjacency
 from treeheat.geometry import (
     ROOT,
     TreeGeometry,
-    ball_adjacency,
     cross_distance_counts,
     depth,
     distance,

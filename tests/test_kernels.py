@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, kve
 
-from treeheat.geometry import ROOT, TreeGeometry, ball_adjacency, sphere_size
+from ball import ball_adjacency
+from treeheat import kernels
+from treeheat.geometry import ROOT, TreeGeometry, sphere_size
 from treeheat.kernels import (
     KernelFamily,
     RadialKernel,
@@ -19,13 +21,14 @@ from treeheat.kernels import (
     heat_kernel,
     heat_kernel_Z,
     heat_kernel_many,
+    kernel_block,
     kernel_value,
-    radial_convolve,
     stable_kernel,
     tabulate,
     wave_kernel,
     write_kernel_csv,
 )
+from treeheat.operators import radial_convolve
 from treeheat.quadrature import DEFAULT_SPEC, integrate
 from treeheat.special import StableDensityParams, bessel_i_scaled, stable_density
 
@@ -299,7 +302,7 @@ def test_walk_table_below_ground_spherical_function(q):
 def test_wave_half_equals_stable_one(q, t):
     for k in range(0, 16, 3):
         assert wave_kernel(q, 0.5, t, k) == pytest.approx(
-            stable_kernel(q, 1.0, t, k), abs=1e-8
+            stable_kernel(q, 1.0, t, k), rel=1e-9, abs=0.0
         )
 
 
@@ -357,6 +360,48 @@ def test_tail_bound_covers_slowing_decay(q, t):
     # geometric series from the last ratio falls short of the missing mass
     kern = tabulate(TreeGeometry(q, 25), KernelFamily.wave(2.5), t)
     assert 0.0 < 1.0 - kern.mass() <= kern.tail_bound
+
+
+@pytest.mark.parametrize(
+    "q,family",
+    [(1, KernelFamily.heat()), (2, KernelFamily.heat()), (3, KernelFamily.heat()),
+     (1, KernelFamily.stable(1.0)), (2, KernelFamily.stable(1.5)), (3, KernelFamily.stable(1.0)),
+     (1, KernelFamily.wave(0.75)), (2, KernelFamily.wave(0.75)), (3, KernelFamily.wave(2.5))],
+)
+def test_kernel_block_columns_are_tables_and_values(q, family):
+    radius = 6 if q == 1 else 12
+    ts = [0.05, 0.8, 3.0]
+    block = kernel_block(q, family, ts, radius)
+    assert block.shape == (radius + 1, len(ts))
+    for i, t in enumerate(ts):
+        assert tuple(block[:, i]) == tabulate(TreeGeometry(q, radius), family, t).values
+        for k in (0, 1, radius):
+            assert block[k, i] == kernel_value(q, family, t, k), (t, k)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.99])
+def test_stable_time_alone_equals_block(q, alpha):
+    # one weight stream serves the 64 times of the block; each time's
+    # values must not depend on the others
+    ts = np.geomspace(1e-4, 300.0, 64)
+    ts[[0, 40, 63]] = 1e-4, 0.7, 300.0
+    family = KernelFamily.stable(alpha)
+    block = kernel_block(q, family, ts, 3)
+    for i in (0, 40, 63):
+        alone = kernel_block(q, family, [ts[i]], 3)[:, 0]
+        assert np.array_equal(alone, block[:, i]), ts[i]
+
+
+def test_table_cache_is_bounded():
+    geom = TreeGeometry(2, 4)
+    for i in range(kernels._TABLE_CACHE_SIZE + 20):
+        tabulate(geom, KernelFamily.heat(), 0.5 + 1e-3 * i)
+    assert len(kernels._TABLE_CACHE) == kernels._TABLE_CACHE_SIZE
+    # the most recent tables stay, the oldest are gone
+    key = (geom, KernelFamily.heat(), 0.5 + 1e-3 * (kernels._TABLE_CACHE_SIZE + 19), DEFAULT_SPEC)
+    assert key in kernels._TABLE_CACHE
+    assert (geom, KernelFamily.heat(), 0.5, DEFAULT_SPEC) not in kernels._TABLE_CACHE
 
 
 def test_tabulate_cache_identity():

@@ -1,13 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeheat.geometry import ROOT, TreeGeometry, ball_adjacency, enumerate_ball
+from ball import ball_adjacency
+from treeheat.geometry import ROOT, TreeGeometry, distance, enumerate_ball
 from treeheat.kernels import KernelFamily, heat_kernel_Z, tabulate
 from treeheat.operators import (
+    BallOperator,
     MaximalSpec,
     TreeFunction,
     apply_kernel,
@@ -93,7 +96,47 @@ def test_fractional_laplacian_alpha_to_two_limit():
     delta = TreeFunction.delta(geom)
     got = fractional_laplacian(delta, 1.99, ROOT)
     lap = laplacian(delta, ROOT)
-    assert abs(got - lap) <= 0.05 * abs(lap)
+    assert abs(got - lap) <= 2e-3 * abs(lap)  # the true gap is 9.4e-4
+
+
+def binomial_series_fractional(q, alpha, kmax, terms):
+    """L^{alpha/2} delta_o(k) = sum_n (-1)^n binom(alpha/2, n) u_n(k), k <= kmax,
+    by mpmath at 30 digits; u_n(k), the chance that the walk from o sits at
+    one given vertex at distance k after n steps, by its radial recursion."""
+    with mp.workdps(30):
+        beta = mp.mpf(alpha) / 2
+        u = [mp.mpf(1)] + [mp.mpf(0)] * (terms + kmax + 1)
+        total = [mp.mpf(0)] * (kmax + 1)
+        coeff = mp.mpf(1)
+        for n in range(terms + 1):
+            for k in range(kmax + 1):
+                total[k] += coeff * u[k]
+            coeff *= (n - beta) / (n + 1)
+            width = kmax + terms - n + 1  # farther out, no walk gets back in time
+            u = [u[1]] + [(u[j - 1] + q * u[j + 1]) / (q + 1) for j in range(1, width)]
+            u += [mp.mpf(0)] * 2
+        return [float(v) for v in total]
+
+
+def line_fractional(alpha, k):
+    """(1/pi) int_0^pi (1 - cos th)^{alpha/2} cos(k th) d th, by mpmath."""
+    with mp.workdps(30):
+        f = lambda th: (1 - mp.cos(th)) ** (mp.mpf(alpha) / 2) * mp.cos(k * th)  # noqa: E731
+        return float(mp.quad(f, mp.linspace(0, mp.pi, 9)) / mp.pi)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.99])
+def test_fractional_laplacian_against_binomial_series(alpha):
+    geom = TreeGeometry(2, 4)
+    delta = TreeFunction.delta(geom)
+    ref = binomial_series_fractional(2, alpha, 3, 640)  # rho^640 < 1e-16
+    for k in range(4):
+        got = fractional_laplacian(delta, alpha, (0,) * k)
+        assert got == pytest.approx(ref[k], rel=1e-12, abs=0.0), k
+    line = TreeFunction.delta(TreeGeometry(1, 4))
+    for k in range(4):
+        got = fractional_laplacian(line, alpha, (0,) * k)
+        assert got == pytest.approx(line_fractional(alpha, k), rel=1e-12, abs=0.0), k
 
 
 def test_fractional_generator_consistency():
@@ -205,6 +248,68 @@ def test_maximal_nondecreasing_under_refinement():
     refined, _ = maximal(fam, f, ROOT, MaximalSpec.default(1.0, 32, 2))
     assert coarse <= fine + 1e-15
     assert fine <= refined + 1e-15
+
+
+def per_vertex_maximal(family, f, x, mspec):
+    """The per-vertex route as an oracle: a table per time, a sum over the
+    support by tree distances, and the golden-section search on top."""
+    radius = max(len(x) + max(f.support_radius(), 0), 4)
+    geom = TreeGeometry(f.geom.q, radius)
+
+    def g(t):
+        kern = tabulate(geom, family, t)
+        return abs(sum(v * kern.value(distance(x, w)) for w, v in f.support_items()))
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    grid = mspec.grid
+    values = [g(t) for t in grid]
+    best = int(np.argmax(values))
+    best_v, best_t = values[best], grid[best]
+    a = grid[best - 1] if best > 0 else grid[0] * 0.5
+    b = grid[best + 1] if best + 1 < len(grid) else min(mspec.R, grid[-1] * 2.0)
+    t1, t2 = b - golden * (b - a), a + golden * (b - a)
+    v1, v2 = g(t1), g(t2)
+    for _ in range(mspec.refinement_rounds):
+        if v1 >= v2:
+            b, t2, v2 = t2, t1, v1
+            t1 = b - golden * (b - a)
+            v1 = g(t1)
+        else:
+            a, t1, v1 = t1, t2, v2
+            t2 = a + golden * (b - a)
+            v2 = g(t2)
+    for tv, vv in ((t1, v1), (t2, v2)):
+        if vv > best_v:
+            best_v, best_t = vv, tv
+    return best_v, best_t, values, g
+
+
+@pytest.mark.parametrize(
+    "q,family",
+    [(1, KernelFamily.heat()), (2, KernelFamily.heat()), (3, KernelFamily.heat()),
+     (2, KernelFamily.stable(1.0)), (2, KernelFamily.stable(1.5)),
+     (2, KernelFamily.wave(0.75))],
+)
+def test_ball_operator_matches_per_vertex_route(q, family):
+    rng = np.random.default_rng(q)
+    geom = TreeGeometry(q, 2)
+    words = enumerate_ball(TreeGeometry(q, 1))
+    f = TreeFunction.from_table(geom, {w: rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0)
+                                       for w in words})
+    xs = enumerate_ball(geom)
+    mspec = MaximalSpec.default(1.0, points=16, refinement_rounds=2)
+    ball = BallOperator(family, f, xs)
+    values, times = ball.maximal(mspec)
+    applied = ball.apply(0.3)
+    for x, value, t_star, got in zip(xs, values, times, applied):
+        ref_v, ref_t, grid_values, g = per_vertex_maximal(family, f, x, mspec)
+        assert value == pytest.approx(ref_v, rel=1e-12, abs=0.0)
+        assert t_star == pytest.approx(ref_t, rel=1e-12)
+        # the running-max contract: at least every grid value, equal at the witness
+        assert all(value >= v * (1.0 - 1e-12) for v in grid_values)
+        assert value == pytest.approx(g(t_star), rel=1e-12, abs=0.0)
+        assert abs(got) == pytest.approx(g(0.3), rel=1e-12, abs=0.0)
+        assert maximal(family, f, x, mspec) == (value, t_star)
 
 
 def test_maximal_spec_validation():
