@@ -17,7 +17,6 @@ from .kernels import (
     KernelFamily,
     RadialKernel,
     heat_kernel,
-    heat_kernel_Z,
     kernel_block,
     kernel_value,
     stable_kernel,
@@ -76,7 +75,6 @@ __all__ = [
     "fractional_laplacian",
     "heat_apply",
     "heat_kernel",
-    "heat_kernel_Z",
     "integrate",
     "kernel_block",
     "kernel_value",

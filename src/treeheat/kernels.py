@@ -554,14 +554,6 @@ def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -
     return float(heat_kernel_many(q, k, [t], spec)[0])
 
 
-def heat_kernel_Z(t: float, k: int) -> float:
-    """exp(-t) I_k(t): the heat kernel on the integer line."""
-    _check_time(t)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return float(bessel_i_scaled(k, t))
-
-
 def stable_kernel(
     q: int, alpha: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:

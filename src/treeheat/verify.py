@@ -7,28 +7,31 @@ as bounded ratio bands (default max/min <= 100), not against specific
 constants. Reports are deterministic: given the same configuration the
 serialized output is bitwise identical (timing is kept on the report object
 but never serialized).
+
+Each check is registered with its default parameters, which a run's config
+overrides. The comparison checks read one kernel block per (q, family) through
+_compare and never call the kernels one value at a time. Those whose values
+fall far below the spec's absolute floor run under _floored(spec): the same
+spec with its absolute tolerance at the smallest normal float, so that every
+value is certified to rel_tol relative to itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NumericalError
 from .flow import FlowStructure, flow_constant, verify_flow_conjugation
-from .geometry import ROOT, TreeGeometry, distance, enumerate_ball
-from .kernels import (
-    KernelFamily,
-    comparator_Z,
-    kernel_block,
-    stable_kernel,
-    tabulate,
-    wave_kernel,
-)
+from .geometry import ROOT, TreeGeometry, distance_matrix, enumerate_ball
+from .kernels import KernelFamily, comparator_Z, kernel_block, tabulate
 from .operators import BallOperator, MaximalSpec, TreeFunction, radial_convolve
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .special import eta_bound
@@ -78,19 +81,51 @@ def _plain(obj):
     return obj
 
 
-def _scaled_spec(scale: float, spec: QuadratureSpec) -> QuadratureSpec:
-    """Absolute tolerance proportional to the expected magnitude, so that
-    kernels far below DEFAULT abs_tol are still resolved relatively."""
-    return QuadratureSpec(
-        abs_tol=max(scale * 1e-9, 1e-280),
-        rel_tol=1e-9,
-        max_subdivisions=max(spec.max_subdivisions, 4000),
-        tail_cut_factor=spec.tail_cut_factor,
-    )
+_CHECKS: dict = {}
 
 
-def _band(ratios) -> dict:
-    arr = [r for r in ratios if math.isfinite(r)]
+def _check(check_id: str, **defaults):
+    """Register a check under check_id. It is called with the spec and a
+    namespace of its parameters: these defaults, overridden by the config."""
+
+    def register(fn):
+        _CHECKS[check_id] = (fn, defaults)
+        return fn
+
+    return register
+
+
+def _floored(spec: QuadratureSpec) -> QuadratureSpec:
+    """spec with its absolute floor at the smallest normal float."""
+    return dataclasses.replace(spec, abs_tol=sys.float_info.min)
+
+
+def _compare(q, family, ts, ks, ratio, spec, **labels) -> list:
+    """Kernel values against a profile, from one kernel block of (q, family)
+    at the times ts: for each t and each k in ks(t) the row {q, **labels, t,
+    k, value, ratio}, with ratio = ratio(t, k, value); a ratio of None leaves
+    its row out."""
+    ts = [float(t) for t in ts]
+    k_lists = [list(ks(t)) for t in ts]
+    kmax = max((k for k_list in k_lists for k in k_list), default=0)
+    block = kernel_block(q, family, ts, kmax, spec)
+    rows = []
+    for i, t in enumerate(ts):
+        for k in k_lists[i]:
+            value = float(block[k, i])
+            r = ratio(t, k, value)
+            if r is not None:
+                rows.append({"q": q, **labels, "t": t, "k": k, "value": value, "ratio": r})
+    return rows
+
+
+def _over(profile):
+    """The ratio value / profile(t, k)."""
+    return lambda t, k, value: value / profile(t, k)
+
+
+def _band(rows) -> dict:
+    arr = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]
     if not arr or min(arr) <= 0:
         return {"min_ratio": 0.0, "max_ratio": math.inf, "spread": math.inf}
     return {
@@ -100,21 +135,26 @@ def _band(ratios) -> dict:
     }
 
 
-def _check_stochasticity(spec, cfg):
-    qs = cfg.get("qs", (1, 2, 3))
-    ts = cfg.get("ts", (0.1, 0.5, 1.0))
-    families = cfg.get(
-        "families",
-        (KernelFamily.heat(), KernelFamily.stable(1.0), KernelFamily.wave(0.75)),
-    )
-    threshold = cfg.get("threshold", 1e-8)
+def _bands(runs) -> dict:
+    """The band over the rows of all runs, and the largest spread of one run."""
+    band = _band([row for run in runs for row in run])
+    band["max_spread_per_parameter"] = max([0.0, *(_band(run)["spread"] for run in runs)])
+    return band
+
+
+_THREE_FAMILIES = (KernelFamily.heat(), KernelFamily.stable(1.0), KernelFamily.wave(0.75))
+
+
+@_check("stochasticity", qs=(1, 2, 3), ts=(0.1, 0.5, 1.0), families=_THREE_FAMILIES,
+        threshold=1e-8)
+def _check_stochasticity(spec, c):
     rows = []
     worst = 0.0
-    for q in qs:
+    for q in c.qs:
         radius = 60 if q == 1 else 40
         geom = TreeGeometry(q, radius)
-        for fam in families:
-            for t in ts:
+        for fam in c.families:
+            for t in c.ts:
                 kern = tabulate(geom, fam, t, spec)
                 mass = kern.mass()
                 excess = max(abs(mass - 1.0) - kern.tail_bound, 0.0)
@@ -130,51 +170,41 @@ def _check_stochasticity(spec, cfg):
                     }
                 )
     grid = {
-        "qs": list(qs),
-        "ts": list(ts),
-        "families": [f.label() for f in families],
+        "qs": list(c.qs),
+        "ts": list(c.ts),
+        "families": [f.label() for f in c.families],
         "radius": "60 (q=1) / 40",
     }
-    return grid, {"max_mass_excess": worst}, threshold, worst <= threshold, rows
+    return grid, {"max_mass_excess": worst}, c.threshold, worst <= c.threshold, rows
 
 
-def _check_semigroup_law(spec, cfg):
-    qs = cfg.get("qs", (1, 2))
-    pairs = cfg.get("pairs", ((0.4, 0.35), (0.25, 0.75)))
-    kmax = cfg.get("kmax", 8)
-    radius = cfg.get("radius", 30)
-    threshold = cfg.get("threshold", 1e-7)
+@_check("semigroup-law", qs=(1, 2), pairs=((0.4, 0.35), (0.25, 0.75)), kmax=8, radius=30,
+        threshold=1e-7)
+def _check_semigroup_law(spec, c):
     rows = []
     worst = 0.0
-    for q in qs:
-        geom = TreeGeometry(q, radius)
-        for t, s in pairs:
-            a = [tabulate(geom, KernelFamily.heat(), t, spec).value(k) for k in range(radius + 1)]
-            b = [tabulate(geom, KernelFamily.heat(), s, spec).value(k) for k in range(radius + 1)]
-            direct = tabulate(geom, KernelFamily.heat(), t + s, spec)
-            for k in range(kmax + 1):
+    for q in c.qs:
+        for t, s in c.pairs:
+            block = kernel_block(q, KernelFamily.heat(), [t, s, t + s], c.radius, spec)
+            a, b, direct = block.T.tolist()
+            for k in range(c.kmax + 1):
                 conv = radial_convolve(q, a, b, k)
-                diff = abs(conv - direct.value(k))
+                diff = abs(conv - direct[k])
                 worst = max(worst, diff)
                 rows.append(
                     {"q": q, "t": t, "s": s, "k": k, "conv": conv,
-                     "direct": direct.value(k), "diff": diff}
+                     "direct": direct[k], "diff": diff}
                 )
-    grid = {"qs": list(qs), "pairs": [list(p) for p in pairs], "kmax": kmax,
-            "truncation_radius": radius}
-    return grid, {"max_abs_residual": worst}, threshold, worst <= threshold, rows
+    grid = {"qs": list(c.qs), "pairs": [list(p) for p in c.pairs], "kmax": c.kmax,
+            "truncation_radius": c.radius}
+    return grid, {"max_abs_residual": worst}, c.threshold, worst <= c.threshold, rows
 
 
-def _check_initial_data(spec, cfg):
-    q = cfg.get("q", 2)
-    families = cfg.get(
-        "families",
-        (KernelFamily.heat(), KernelFamily.stable(1.0), KernelFamily.wave(0.75)),
-    )
-    js = cfg.get("js", tuple(range(3, 13)))
-    threshold = cfg.get("threshold", 1e-3)
-    geom = TreeGeometry(q, 3)
-    rng = np.random.default_rng(cfg.get("seed", 7))
+@_check("initial-data", q=2, families=_THREE_FAMILIES, js=tuple(range(3, 13)), seed=7,
+        threshold=1e-3)
+def _check_initial_data(spec, c):
+    geom = TreeGeometry(c.q, 3)
+    rng = np.random.default_rng(c.seed)
     datasets = {
         "delta": TreeFunction.delta(geom),
         "random": TreeFunction.from_table(
@@ -185,324 +215,227 @@ def _check_initial_data(spec, cfg):
     passed = True
     worst_final = 0.0
     xs = enumerate_ball(geom)
-    ts = [2.0 ** (-j) for j in js]
-    for fam in families:
+    ts = [2.0 ** (-j) for j in c.js]
+    for fam in c.families:
         for name, f in datasets.items():
             fx = np.array([f.value(x) for x in xs])[:, None]
             gaps = np.abs(BallOperator(fam, f, xs, spec).block(ts) - fx).max(axis=0).tolist()
             rows += [{"family": fam.label(), "data": name, "j": j, "t": t, "gap": gap}
-                     for j, t, gap in zip(js, ts, gaps)]
+                     for j, t, gap in zip(c.js, ts, gaps)]
             monotone = all(
                 g2 <= g1 * (1.0 + 1e-7) + 1e-15 for g1, g2 in zip(gaps, gaps[1:])
             )
-            final_ok = gaps[-1] < threshold
+            final_ok = gaps[-1] < c.threshold
             worst_final = max(worst_final, gaps[-1])
             passed = passed and monotone and final_ok
-    grid = {"q": q, "families": [f.label() for f in families],
-            "dyadic_j": list(js), "datasets": list(datasets)}
-    return grid, {"max_final_gap": worst_final}, threshold, passed, rows
+    grid = {"q": c.q, "families": [f.label() for f in c.families],
+            "dyadic_j": list(c.js), "datasets": list(datasets)}
+    return grid, {"max_final_gap": worst_final}, c.threshold, passed, rows
 
 
-def _check_a1_band(spec, cfg):
-    qs = cfg.get("qs", (2, 3))
-    alphas = cfg.get("alphas", (0.5, 1.0, 1.5))
-    ts = cfg.get("ts", (0.05, 0.2, 0.8))
-    kmax = cfg.get("kmax", 30)
-    threshold = cfg.get("threshold", 100.0)
-    rows = []
-    ratios = []
-    worst_spread = 0.0
-    for q in qs:
-        for alpha in alphas:
-            group = []
-            for t in ts:
-                k0 = int(math.ceil(t ** (2.0 / alpha))) + 1
-                for k in range(k0, kmax + 1):
-                    scale = t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
-                    val = stable_kernel(q, alpha, t, k, _scaled_spec(scale, spec))
-                    r = val / scale
-                    group.append(r)
-                    ratios.append(r)
-                    rows.append(
-                        {"q": q, "alpha": alpha, "t": t, "k": k, "value": val,
-                         "profile": scale, "ratio": r}
-                    )
-            worst_spread = max(worst_spread, _band(group)["spread"])
-    band = _band(ratios)
-    band["max_spread_per_parameter"] = worst_spread
-    grid = {"qs": list(qs), "alphas": list(alphas), "ts": list(ts),
-            "k_range": f"ceil(t^(2/alpha))+1 .. {kmax}"}
-    return grid, band, threshold, worst_spread <= threshold, rows
+def _stable_profile(q: int, alpha: float):
+    """t k^{-1-alpha/2} q^{-k}, the two-sided profile of P_t^alpha(k)."""
+    return lambda t, k: t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
 
 
-def _check_phi0_band(spec, cfg):
+@_check("A1-band", qs=(2, 3), alphas=(0.5, 1.0, 1.5), ts=(0.05, 0.2, 0.8), kmax=30,
+        threshold=100.0)
+def _check_a1_band(spec, c):
+    runs = []
+    for q in c.qs:
+        for alpha in c.alphas:
+            profile = _stable_profile(q, alpha)
+            rows = _compare(q, KernelFamily.stable(alpha), c.ts,
+                            lambda t: range(int(math.ceil(t ** (2.0 / alpha))) + 1, c.kmax + 1),
+                            _over(profile), _floored(spec), alpha=alpha)
+            runs.append([{**row, "profile": profile(row["t"], row["k"])} for row in rows])
+    band = _bands(runs)
+    grid = {"qs": list(c.qs), "alphas": list(c.alphas), "ts": list(c.ts),
+            "k_range": f"ceil(t^(2/alpha))+1 .. {c.kmax}"}
+    rows = [row for run in runs for row in run]
+    return grid, band, c.threshold, band["max_spread_per_parameter"] <= c.threshold, rows
+
+
+@_check("phi0-band", q=2, alpha=1.0, t=0.2, kmax=20)
+def _check_phi0_band(spec, c):
     # the spherical function enters only through the two-sided comparison
     # phi0(k) ~ (k+1) q^{-k/2}; with no exact phi0 available, this check is
     # report-only: it records the stable-kernel ratio band on a small grid
     # (the same comparison the profile bound feeds into) and always passes.
-    q = cfg.get("q", 2)
-    alpha = cfg.get("alpha", 1.0)
-    t = cfg.get("t", 0.2)
-    kmax = cfg.get("kmax", 20)
-    rows = []
-    ratios = []
-    for k in range(2, kmax + 1):
-        scale = t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
-        val = stable_kernel(q, alpha, t, k, _scaled_spec(scale, spec))
-        r = val / scale
-        ratios.append(r)
-        rows.append({"q": q, "alpha": alpha, "t": t, "k": k, "ratio": r})
-    band = _band(ratios)
+    rows = _compare(c.q, KernelFamily.stable(c.alpha), [c.t], lambda t: range(2, c.kmax + 1),
+                    _over(_stable_profile(c.q, c.alpha)), _floored(spec), alpha=c.alpha)
+    band = _band(rows)
     band["report_only"] = True
-    grid = {"q": q, "alpha": alpha, "t": t, "kmax": kmax}
+    grid = {"q": c.q, "alpha": c.alpha, "t": c.t, "kmax": c.kmax}
     return grid, band, math.inf, True, rows
 
 
-def _check_eta_domination(spec, cfg):
-    alphas = cfg.get("alphas", (0.5, 1.0, 1.5))
-    a = cfg.get("a", 0.25)
-    b = cfg.get("b", 1.0)
-    us = cfg.get("us", tuple(np.geomspace(1e-4, 1e4, 81)))
-    ts = cfg.get("ts", tuple(np.linspace(0.25, 1.0, 7)))
-    threshold = cfg.get("threshold", 1e8)
+@_check("eta-domination", alphas=(0.5, 1.0, 1.5), a=0.25, b=1.0,
+        us=tuple(np.geomspace(1e-4, 1e4, 81)), ts=tuple(np.linspace(0.25, 1.0, 7)),
+        threshold=1e8)
+def _check_eta_domination(spec, c):
     rows = []
     consts = {}
-    for alpha in alphas:
-        c = 0.0
-        for t in ts:
-            if not a <= t <= b:
-                continue
-            for u in us:
-                num, _ = eta_bound(alpha, t, u)
-                den, _ = eta_bound(alpha, a, u)
-                if den > 0:
-                    c = max(c, num / den)
-        consts[f"C_alpha_{alpha:g}"] = c
-        rows.append({"alpha": alpha, "C": c})
+    for alpha in c.alphas:
+        den = [eta_bound(alpha, c.a, u)[0] for u in c.us]
+        ratios = [eta_bound(alpha, t, u)[0] / d
+                  for t in c.ts if c.a <= t <= c.b for u, d in zip(c.us, den) if d > 0]
+        consts[f"C_alpha_{alpha:g}"] = max([0.0, *ratios])
+        rows.append({"alpha": alpha, "C": consts[f"C_alpha_{alpha:g}"]})
     worst = max(consts.values())
-    grid = {"alphas": list(alphas), "a": a, "b": b,
+    grid = {"alphas": list(c.alphas), "a": c.a, "b": c.b,
             "u_grid": "81 log points in [1e-4, 1e4]",
             "t_grid": "7 points in [0.25, 1]"}
-    return grid, consts, threshold, worst <= threshold, rows
+    return grid, consts, c.threshold, worst <= c.threshold, rows
 
 
-def _check_prop_est_a(spec, cfg):
-    qs = cfg.get("qs", (2, 3))
-    nu = cfg.get("nu", 2.5)
-    ts = cfg.get("ts", (0.25, 0.5, 1.0, 2.0))
-    threshold = cfg.get("threshold", 1e3)
+@_check("prop-est-a", qs=(2, 3), nu=2.5, ts=(0.25, 0.5, 1.0, 2.0), threshold=1e3)
+def _check_prop_est_a(spec, c):
     rows = []
-    worst = 0.0
-    for q in qs:
-        for t in ts:
-            for k in range(int(math.ceil(nu))):
-                profile = (
-                    t ** (2 * k)
-                    * (k + 1.0) ** (-k - 0.5)
-                    * (2.0 * math.e / (q + 1.0)) ** (k + 1.0)
-                )
-                val = wave_kernel(q, nu, t, k, _scaled_spec(profile, spec))
-                r = val / profile
-                worst = max(worst, r)
-                rows.append({"q": q, "nu": nu, "t": t, "k": k, "ratio": r})
-    grid = {"qs": list(qs), "nu": nu, "ts": list(ts), "k_range": f"0 .. {int(math.ceil(nu)) - 1}"}
-    return grid, {"max_ratio": worst}, threshold, worst <= threshold, rows
+    for q in c.qs:
+        rows += _compare(q, KernelFamily.wave(c.nu), c.ts, lambda t: range(int(math.ceil(c.nu))),
+                         _over(lambda t, k: t ** (2 * k) * (k + 1.0) ** (-k - 0.5)
+                               * (2.0 * math.e / (q + 1.0)) ** (k + 1.0)),
+                         _floored(spec), nu=c.nu)
+    worst = max([0.0, *(row["ratio"] for row in rows)])
+    grid = {"qs": list(c.qs), "nu": c.nu, "ts": list(c.ts),
+            "k_range": f"0 .. {int(math.ceil(c.nu)) - 1}"}
+    return grid, {"max_ratio": worst}, c.threshold, worst <= c.threshold, rows
 
 
-def _check_prop_est_bc(spec, cfg):
-    qs = cfg.get("qs", (2, 3))
-    nus = cfg.get("nus", (0.5, 1.0))
-    ts = cfg.get("ts", (0.1, 0.5, 0.9))
-    kmax = cfg.get("kmax", 25)
-    threshold = cfg.get("threshold", 100.0)
+@_check("prop-est-bc", qs=(2, 3), nus=(0.5, 1.0), ts=(0.1, 0.5, 0.9), kmax=25, threshold=100.0)
+def _check_prop_est_bc(spec, c):
+    runs = [
+        _compare(q, KernelFamily.wave(nu), c.ts,
+                 lambda t: range(int(math.ceil(nu)) + 1, c.kmax + 1),
+                 _over(lambda t, k: t ** (2 * nu) / (k ** (nu + 1.0) * float(q) ** k)),
+                 _floored(spec), nu=nu)
+        for q in c.qs
+        for nu in c.nus
+    ]
+    band = _bands(runs)
+    grid = {"qs": list(c.qs), "nus": list(c.nus), "ts": list(c.ts),
+            "k_range": f"ceil(nu)+1 .. {c.kmax}"}
+    rows = [row for run in runs for row in run]
+    return grid, band, c.threshold, band["max_spread_per_parameter"] <= c.threshold, rows
+
+
+@_check("prop-est-d", q=2, nus=(0.5, 1.0, 2.0), ts=tuple(np.linspace(0.05, 0.95, 10)),
+        threshold=100.0)
+def _check_prop_est_d(spec, c):
     rows = []
-    ratios = []
-    worst_spread = 0.0
-    for q in qs:
-        for nu in nus:
-            group = []
-            for t in ts:
-                for k in range(int(math.ceil(nu)) + 1, kmax + 1):
-                    scale = t ** (2 * nu) / (k ** (nu + 1.0) * float(q) ** k)
-                    val = wave_kernel(q, nu, t, k, _scaled_spec(scale, spec))
-                    r = val / scale
-                    group.append(r)
-                    ratios.append(r)
-                    rows.append(
-                        {"q": q, "nu": nu, "t": t, "k": k, "value": val, "ratio": r}
-                    )
-            worst_spread = max(worst_spread, _band(group)["spread"])
-    band = _band(ratios)
-    band["max_spread_per_parameter"] = worst_spread
-    grid = {"qs": list(qs), "nus": list(nus), "ts": list(ts),
-            "k_range": f"ceil(nu)+1 .. {kmax}"}
-    return grid, band, threshold, worst_spread <= threshold, rows
+    for nu in c.nus:  # the band of T_t^nu(0) itself
+        rows += _compare(c.q, KernelFamily.wave(nu), c.ts, lambda t: [0],
+                         lambda t, k, value: value, spec, nu=nu)
+    band = _band(rows)
+    grid = {"q": c.q, "nus": list(c.nus), "t_grid": "10 points in [0.05, 0.95]"}
+    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
 
 
-def _check_prop_est_d(spec, cfg):
-    q = cfg.get("q", 2)
-    nus = cfg.get("nus", (0.5, 1.0, 2.0))
-    ts = cfg.get("ts", tuple(np.linspace(0.05, 0.95, 10)))
-    threshold = cfg.get("threshold", 100.0)
+@_check("T-half-equals-P-one", qs=(1, 2), ts=(0.3, 0.7), kmax=15, threshold=1e-8)
+def _check_t_half_equals_p_one(spec, c):
     rows = []
-    ratios = []
-    for nu in nus:
-        for t in ts:
-            val = wave_kernel(q, nu, float(t), 0, spec)
-            ratios.append(val)
-            rows.append({"q": q, "nu": nu, "t": float(t), "value": val})
-    band = _band(ratios)
-    grid = {"q": q, "nus": list(nus), "t_grid": "10 points in [0.05, 0.95]"}
-    return grid, band, threshold, band["spread"] <= threshold, rows
+    for q in c.qs:
+        T = kernel_block(q, KernelFamily.wave(0.5), c.ts, c.kmax, spec).T.tolist()
+        P = kernel_block(q, KernelFamily.stable(1.0), c.ts, c.kmax, spec).T.tolist()
+        rows += [{"q": q, "t": t, "k": k, "T": tv, "P": pv, "diff": abs(tv - pv)}
+                 for t, Tt, Pt in zip(c.ts, T, P) for k, (tv, pv) in enumerate(zip(Tt, Pt))]
+    worst = max([0.0, *(row["diff"] for row in rows)])
+    grid = {"qs": list(c.qs), "ts": list(c.ts), "kmax": c.kmax}
+    return grid, {"max_abs_diff": worst}, c.threshold, worst <= c.threshold, rows
 
 
-def _check_t_half_equals_p_one(spec, cfg):
-    qs = cfg.get("qs", (1, 2))
-    ts = cfg.get("ts", (0.3, 0.7))
-    kmax = cfg.get("kmax", 15)
-    threshold = cfg.get("threshold", 1e-8)
+@_check("heat-domination", qs=(2, 3), Rs=(0.5, 1.0), kmax=25, n_t=12, threshold=1e3)
+def _check_heat_domination(spec, c):
     rows = []
-    worst = 0.0
-    for q in qs:
-        for t in ts:
-            for k in range(kmax + 1):
-                tv = wave_kernel(q, 0.5, t, k, spec)
-                pv = stable_kernel(q, 1.0, t, k, spec)
-                diff = abs(tv - pv)
-                worst = max(worst, diff)
-                rows.append({"q": q, "t": t, "k": k, "T": tv, "P": pv, "diff": diff})
-    grid = {"qs": list(qs), "ts": list(ts), "kmax": kmax}
-    return grid, {"max_abs_diff": worst}, threshold, worst <= threshold, rows
-
-
-def _check_heat_domination(spec, cfg):
-    qs = cfg.get("qs", (2, 3))
-    Rs = cfg.get("Rs", (0.5, 1.0))
-    kmax = cfg.get("kmax", 25)
-    n_t = cfg.get("n_t", 12)
-    threshold = cfg.get("threshold", 1e3)
-    rows = []
-    worst = 0.0
-    for q in qs:
-        geom = TreeGeometry(q, max(kmax, 4))
-        for R in Rs:
-            ref = tabulate(geom, KernelFamily.heat(), R, spec)
-            for t in np.geomspace(R * 1e-3, R * 0.999, n_t):
-                kern = tabulate(geom, KernelFamily.heat(), float(t), spec)
-                for k in range(kmax + 1):
-                    if ref.value(k) > 0:
-                        r = kern.value(k) / ref.value(k)
-                        worst = max(worst, r)
-                        rows.append({"q": q, "R": R, "t": float(t), "k": k, "ratio": r})
-    grid = {"qs": list(qs), "Rs": list(Rs), "kmax": kmax,
-            "t_grid": f"{n_t} log points in (0, R)"}
-    return grid, {"sup_ratio": worst}, threshold, worst <= threshold, rows
+    for q in c.qs:
+        for R in c.Rs:
+            ref = kernel_block(q, KernelFamily.heat(), [R], c.kmax, spec)[:, 0].tolist()
+            rows += _compare(q, KernelFamily.heat(), np.geomspace(R * 1e-3, R * 0.999, c.n_t),
+                             lambda t: range(c.kmax + 1),
+                             lambda t, k, value: value / ref[k] if ref[k] > 0 else None,
+                             spec, R=R)
+    worst = max([0.0, *(row["ratio"] for row in rows)])
+    grid = {"qs": list(c.qs), "Rs": list(c.Rs), "kmax": c.kmax,
+            "t_grid": f"{c.n_t} log points in (0, R)"}
+    return grid, {"sup_ratio": worst}, c.threshold, worst <= c.threshold, rows
 
 
 def _phi(z: float) -> float:
     return z * math.log(z + math.sqrt(1.0 + z * z)) - math.sqrt(1.0 + z * z)
 
 
-def _check_z_profile(spec, cfg):
-    ts = cfg.get("ts", tuple(np.geomspace(0.1, 10.0, 13)))
-    kmax = cfg.get("kmax", 40)
-    threshold = cfg.get("threshold", 100.0)
-    from .kernels import heat_kernel_Z
+def _z_ratio(t: float, k: int, h: float):
+    """H_t(k) sqrt(1 + k + t) e^{t (1 + phi(k/t))} on the line, summed in logs."""
+    if h <= 0:
+        return None
+    return math.exp(math.log(h) + 0.5 * math.log(1.0 + k + t) + t * (1.0 + _phi(k / t)))
 
+
+@_check("Z-profile", ts=tuple(np.geomspace(0.1, 10.0, 13)), kmax=40, threshold=100.0)
+def _check_z_profile(spec, c):
+    rows = _compare(1, KernelFamily.heat(), c.ts, lambda t: range(c.kmax + 1), _z_ratio, spec)
+    band = _band(rows)
+    grid = {"t_grid": "13 log points in [0.1, 10]", "kmax": c.kmax}
+    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
+
+
+@_check("prop2-band", alphas=(0.5, 1.0, 1.5), ts=(0.1, 0.5, 0.9), kmax=25, threshold=100.0)
+def _check_prop2_band(spec, c):
     rows = []
-    ratios = []
-    for t in ts:
-        t = float(t)
-        for k in range(kmax + 1):
-            h = heat_kernel_Z(t, k)
-            if h <= 0:
-                continue
-            log_ratio = (
-                math.log(h)
-                + 0.5 * math.log(1.0 + k + t)
-                + t * (1.0 + _phi(k / t))
-            )
-            r = math.exp(log_ratio)
-            ratios.append(r)
-            rows.append({"t": t, "k": k, "ratio": r})
-    band = _band(ratios)
-    grid = {"t_grid": "13 log points in [0.1, 10]", "kmax": kmax}
-    return grid, band, threshold, band["spread"] <= threshold, rows
+    for alpha in c.alphas:
+        rows += _compare(1, KernelFamily.stable(alpha), c.ts, lambda t: range(c.kmax + 1),
+                         _over(lambda t, k: comparator_Z(alpha, t, k)), _floored(spec),
+                         alpha=alpha)
+    band = _band(rows)
+    grid = {"q": 1, "alphas": list(c.alphas), "ts": list(c.ts), "kmax": c.kmax}
+    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
 
 
-def _check_prop2_band(spec, cfg):
-    alphas = cfg.get("alphas", (0.5, 1.0, 1.5))
-    ts = cfg.get("ts", (0.1, 0.5, 0.9))
-    kmax = cfg.get("kmax", 25)
-    threshold = cfg.get("threshold", 100.0)
-    rows = []
-    ratios = []
-    for alpha in alphas:
-        for t in ts:
-            for k in range(kmax + 1):
-                scale = comparator_Z(alpha, t, k)
-                val = stable_kernel(1, alpha, t, k, _scaled_spec(scale, spec))
-                r = val / scale
-                ratios.append(r)
-                rows.append({"alpha": alpha, "t": t, "k": k, "ratio": r})
-    band = _band(ratios)
-    grid = {"q": 1, "alphas": list(alphas), "ts": list(ts), "kmax": kmax}
-    return grid, band, threshold, band["spread"] <= threshold, rows
-
-
-def _check_flow_conjugation(spec, cfg):
-    qs = cfg.get("qs", (2, 4))
-    t = cfg.get("t", 0.5)
-    hs = cfg.get("hs", (1e-2, 5e-3))
-    threshold = cfg.get("threshold", 1.8)
+@_check("flow-conjugation", qs=(2, 4), t=0.5, hs=(1e-2, 5e-3), threshold=1.8)
+def _check_flow_conjugation(spec, c):
     rows = []
     min_order = math.inf
     b_exact = True
-    for q in qs:
+    for q in c.qs:
         b = flow_constant(q)
         b_exact = b_exact and b == (math.sqrt(q) - 1.0) ** 2 / (q + 1.0)
         geom = TreeGeometry(q, 3)
         fs = FlowStructure(geom)
         f = TreeFunction.delta(geom)
-        res = [abs(verify_flow_conjugation(fs, t, f, ROOT, h, spec)) for h in hs]
-        order = math.log(res[0] / res[1]) / math.log(hs[0] / hs[1]) if res[1] > 0 else math.inf
+        res = [abs(verify_flow_conjugation(fs, c.t, f, ROOT, h, spec)) for h in c.hs]
+        order = math.log(res[0] / res[1]) / math.log(c.hs[0] / c.hs[1]) if res[1] > 0 else math.inf
         min_order = min(min_order, order)
         rows.append({"q": q, "b": b, "residuals": res, "order": order})
-    grid = {"qs": list(qs), "t": t, "hs": list(hs)}
+    grid = {"qs": list(c.qs), "t": c.t, "hs": list(c.hs)}
     measured = {"min_order": min_order, "b_values_exact": b_exact}
-    return grid, measured, threshold, min_order >= threshold and b_exact, rows
+    return grid, measured, c.threshold, min_order >= c.threshold and b_exact, rows
 
 
-def _check_weights_roundtrip(spec, cfg):
-    q = cfg.get("q", 2)
-    p = cfg.get("p", 2.0)
-    alpha = cfg.get("alpha", 1.0)
-    R = cfg.get("R", 1.0)
-    n_funcs = cfg.get("n_funcs", 50)
-    x_radius = cfg.get("x_radius", 10)
-    f_radius = cfg.get("f_radius", 4)
-    threshold = cfg.get("threshold", 1e6)
-    rng = np.random.default_rng(cfg.get("seed", 11))
-
-    geom_x = TreeGeometry(q, x_radius)
+@_check("weights-roundtrip", q=2, p=2.0, alpha=1.0, R=1.0, n_funcs=50, x_radius=10,
+        f_radius=4, seed=11, threshold=1e6)
+def _check_weights_roundtrip(spec, c):
+    q, p = c.q, c.p
+    rng = np.random.default_rng(c.seed)
+    geom_x = TreeGeometry(q, c.x_radius)
     u = WeightSpec.from_closed_form(geom_x, p, 1.0, 0.0, 0.0)
-    v = companion_weight(u, 1.0 + alpha / 2.0, p)
+    v = companion_weight(u, 1.0 + c.alpha / 2.0, p)
 
     xs = enumerate_ball(geom_x)
-    ys = enumerate_ball(TreeGeometry(q, f_radius))
-    dmat = np.array([[distance(x, y) for y in ys] for x in xs], dtype=np.int64)
-    jmax = int(dmat.max())
-    masks = [dmat == j for j in range(jmax + 1)]
-
-    grid_times = MaximalSpec.default(R).grid
-    fam = KernelFamily.stable(alpha)
-    ktab = kernel_block(q, fam, grid_times, jmax, spec)
+    ys = enumerate_ball(TreeGeometry(q, c.f_radius))
+    dmat = distance_matrix(xs, ys)
+    width = int(dmat.max()) + 1
+    # the entry (x, d(x, y)) of each pair, row by row: bincount then sums each
+    # sphere of x in the order of ys
+    cells = (np.arange(len(xs))[:, None] * width + dmat).ravel()
+    ktab = kernel_block(q, KernelFamily.stable(c.alpha), MaximalSpec.default(c.R).grid,
+                        width - 1, spec)
     v_vec = np.array([v.radial_value(len(x)) for x in xs])
     max_ratio = 0.0
     rows = []
-    for i in range(n_funcs):
+    for i in range(c.n_funcs):
         fvec = rng.uniform(-1.0, 1.0, size=len(ys))
-        s = np.stack([m @ fvec for m in masks], axis=1)  # (n_x, jmax+1)
+        s = np.bincount(cells, np.tile(fvec, len(xs)), len(xs) * width).reshape(len(xs), width)
         vals = s @ ktab  # (n_x, n_times)
         star = np.max(np.abs(vals), axis=1)
         num = float(np.sum(v_vec * star**p) ** (1.0 / p))
@@ -511,30 +444,12 @@ def _check_weights_roundtrip(spec, cfg):
         max_ratio = max(max_ratio, ratio)
         rows.append({"f_index": i, "ratio": ratio})
     grid = {
-        "q": q, "p": p, "alpha": alpha, "R": R, "n_funcs": n_funcs,
-        "x_radius": x_radius, "f_radius": f_radius,
-        "grid": "64 log points in (R*1e-4, R*(1-1e-9))", "seed": cfg.get("seed", 11),
+        "q": q, "p": p, "alpha": c.alpha, "R": c.R, "n_funcs": c.n_funcs,
+        "x_radius": c.x_radius, "f_radius": c.f_radius,
+        "grid": "64 log points in (R*1e-4, R*(1-1e-9))", "seed": c.seed,
     }
-    return grid, {"max_operator_ratio": max_ratio}, threshold, max_ratio <= threshold, rows
+    return grid, {"max_operator_ratio": max_ratio}, c.threshold, max_ratio <= c.threshold, rows
 
-
-_CHECKS = {
-    "stochasticity": _check_stochasticity,
-    "semigroup-law": _check_semigroup_law,
-    "initial-data": _check_initial_data,
-    "A1-band": _check_a1_band,
-    "phi0-band": _check_phi0_band,
-    "eta-domination": _check_eta_domination,
-    "prop-est-a": _check_prop_est_a,
-    "prop-est-bc": _check_prop_est_bc,
-    "prop-est-d": _check_prop_est_d,
-    "T-half-equals-P-one": _check_t_half_equals_p_one,
-    "heat-domination": _check_heat_domination,
-    "Z-profile": _check_z_profile,
-    "prop2-band": _check_prop2_band,
-    "flow-conjugation": _check_flow_conjugation,
-    "weights-roundtrip": _check_weights_roundtrip,
-}
 
 ALL_CHECKS = tuple(_CHECKS)
 
@@ -550,7 +465,9 @@ def run_check(
     cfg = config or {}
     start = time.monotonic()
     try:
-        grid, measured, threshold, passed, rows = _CHECKS[check_id](spec, cfg)
+        check, defaults = _CHECKS[check_id]
+        params = SimpleNamespace(**{**defaults, **cfg})
+        grid, measured, threshold, passed, rows = check(spec, params)
         err = None
     except NumericalError as exc:
         grid, measured, threshold, passed, rows = (

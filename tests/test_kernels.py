@@ -19,7 +19,6 @@ from treeheat.kernels import (
     _walk_table,
     comparator_Z,
     heat_kernel,
-    heat_kernel_Z,
     heat_kernel_many,
     kernel_block,
     kernel_value,
@@ -68,8 +67,7 @@ def walk_series_heat(q, t, k, radius=None, tol=1e-13):
 def test_q1_route_is_scaled_bessel(t):
     for k in range(0, 41, 5):
         expect = float(bessel_i_scaled(k, t))
-        assert heat_kernel(1, t, k) == pytest.approx(expect, abs=1e-10)
-        assert heat_kernel_Z(t, k) == pytest.approx(expect, abs=1e-14)
+        assert heat_kernel(1, t, k) == pytest.approx(expect, abs=1e-14)
 
 
 @pytest.mark.parametrize("q,t", [(2, 0.25), (2, 1.0), (3, 1.0)])
@@ -88,7 +86,7 @@ def test_heat_kernel_many_matches_scalar():
     s = np.array([0.3, 1.0, 7.0])
     vals = heat_kernel_many(2, 4, s)
     for si, vi in zip(s, vals):
-        assert vi == pytest.approx(heat_kernel(2, float(si), 4), rel=1e-10)
+        assert vi == pytest.approx(heat_kernel(2, float(si), 4), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -129,7 +127,7 @@ def spectral_heat(q, t, k):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("t,k", [(0.05, 20), (0.5, 10), (5.0, 25), (1000.0, 0), (1000.0, 5)])
 def test_heat_kernel_against_spectral_integral(q, t, k):
-    assert heat_kernel(q, t, k) == pytest.approx(spectral_heat(q, t, k), rel=1e-12)
+    assert heat_kernel(q, t, k) == pytest.approx(spectral_heat(q, t, k), rel=1e-12, abs=0.0)
 
 
 def wave_walk_mixture(q, nu, t, k, nmax=800):

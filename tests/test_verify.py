@@ -1,8 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import treeheat.geometry
+import treeheat.verify
+from treeheat.geometry import TreeGeometry, distance, enumerate_ball
+from treeheat.kernels import KernelFamily, comparator_Z, kernel_block, stable_kernel, wave_kernel
+from treeheat.operators import MaximalSpec
+from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
 from treeheat.verify import (
     ALL_CHECKS,
     VerificationReport,
@@ -10,6 +17,7 @@ from treeheat.verify import (
     run_check,
     run_suite,
 )
+from treeheat.weights import WeightSpec, companion_weight
 
 FAST_CFG = {
     "semigroup-law": {"qs": (2,), "pairs": ((0.4, 0.35),), "kmax": 4},
@@ -76,8 +84,6 @@ def test_phi0_band_is_report_only():
 
 def test_numerical_failure_becomes_failed_report():
     # an impossible tolerance must yield a failed report, not an exception
-    from treeheat.quadrature import QuadratureSpec
-
     strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
     r = run_check("semigroup-law", FAST_CFG["semigroup-law"], spec=strict)
     assert not r.passed
@@ -100,3 +106,150 @@ def test_suite_json_is_deterministic():
 def test_run_suite_defaults_to_all():
     reports = run_suite(["Z-profile"])
     assert len(reports) == 1
+
+
+# ---- the comparison checks on kernel blocks against the per-value route ----
+
+
+def _scaled_spec(scale, spec):
+    """The per-value spec the comparison checks once used: an absolute floor
+    proportional to the expected magnitude of the value."""
+    return QuadratureSpec(
+        abs_tol=max(scale * 1e-9, 1e-280),
+        rel_tol=1e-9,
+        max_subdivisions=max(spec.max_subdivisions, 4000),
+        tail_cut_factor=spec.tail_cut_factor,
+    )
+
+
+def _old_band(ratios):
+    arr = [r for r in ratios if math.isfinite(r)]
+    return {"min_ratio": min(arr), "max_ratio": max(arr), "spread": max(arr) / min(arr)}
+
+
+def _old_grouped(groups):
+    band = _old_band([r for g in groups for r in g])
+    band["max_spread_per_parameter"] = max(_old_band(g)["spread"] for g in groups)
+    return band
+
+
+def _stable_scaled(q, alpha, t, k):
+    scale = t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
+    return stable_kernel(q, alpha, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale
+
+
+def _old_a1(c):
+    return _old_grouped([
+        [_stable_scaled(q, a, t, k) for t in c["ts"]
+         for k in range(int(math.ceil(t ** (2.0 / a))) + 1, c["kmax"] + 1)]
+        for q in c["qs"] for a in c["alphas"]
+    ])
+
+
+def _old_phi0(c):
+    band = _old_band([_stable_scaled(2, 1.0, 0.2, k) for k in range(2, c["kmax"] + 1)])
+    return {**band, "report_only": True}
+
+
+def _old_prop_est_a(c):
+    worst = 0.0
+    for q in c["qs"]:
+        for t in c["ts"]:
+            for k in range(3):  # ceil(2.5)
+                profile = (t ** (2 * k) * (k + 1.0) ** (-k - 0.5)
+                           * (2.0 * math.e / (q + 1.0)) ** (k + 1.0))
+                val = wave_kernel(q, 2.5, t, k, _scaled_spec(profile, DEFAULT_SPEC))
+                worst = max(worst, val / profile)
+    return {"max_ratio": worst}
+
+
+def _old_prop_est_bc(c):
+    groups = []
+    for q in c["qs"]:
+        for nu in c["nus"]:
+            group = []
+            for t in c["ts"]:
+                for k in range(int(math.ceil(nu)) + 1, c["kmax"] + 1):
+                    scale = t ** (2 * nu) / (k ** (nu + 1.0) * float(q) ** k)
+                    group.append(wave_kernel(q, nu, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale)
+            groups.append(group)
+    return _old_grouped(groups)
+
+
+def _old_prop_est_d(c):
+    return _old_band([wave_kernel(2, nu, float(t), 0) for nu in c["nus"] for t in c["ts"]])
+
+
+def _old_t_half(c):
+    worst = 0.0
+    for q in c["qs"]:
+        for t in c["ts"]:
+            for k in range(c["kmax"] + 1):
+                worst = max(worst, abs(wave_kernel(q, 0.5, t, k) - stable_kernel(q, 1.0, t, k)))
+    return {"max_abs_diff": worst}
+
+
+def _old_prop2(c):
+    ratios = []
+    for a in c["alphas"]:
+        for t in c["ts"]:
+            for k in range(c["kmax"] + 1):
+                scale = comparator_Z(a, t, k)
+                ratios.append(stable_kernel(1, a, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale)
+    return _old_band(ratios)
+
+
+OLD_ROUTE = [
+    ("A1-band", {"qs": (2, 3), "alphas": (0.5, 1.5), "ts": (0.05, 0.8), "kmax": 9}, _old_a1),
+    ("phi0-band", {"kmax": 8}, _old_phi0),
+    ("prop-est-a", {"qs": (2, 3), "ts": (0.5, 2.0)}, _old_prop_est_a),
+    ("prop-est-bc", {"qs": (3,), "nus": (0.5, 1.0), "ts": (0.1, 0.9), "kmax": 8}, _old_prop_est_bc),
+    ("prop-est-d", {"nus": (0.5, 2.0), "ts": (0.05, 0.5, 0.95)}, _old_prop_est_d),
+    ("T-half-equals-P-one", {"qs": (1, 2), "ts": (0.3,), "kmax": 3}, _old_t_half),
+]
+
+
+@pytest.mark.parametrize("check_id,cfg,old", OLD_ROUTE, ids=[c for c, _, _ in OLD_ROUTE])
+def test_block_checks_equal_per_value_route(check_id, cfg, old):
+    r = run_check(check_id, cfg)
+    assert r.error is None
+    assert r.measured == old(cfg)
+
+
+def test_prop2_band_close_to_per_value_route():
+    # q = 1 integrates each value; the run's rel_tol 1e-10 replaces a forced 1e-9
+    cfg = {"alphas": (0.5, 1.5), "ts": (0.1, 0.9), "kmax": 5}
+    got, ref = run_check("prop2-band", cfg).measured, _old_prop2(cfg)
+    assert set(got) == set(ref)
+    for key in ref:
+        assert got[key] == pytest.approx(ref[key], rel=1e-9, abs=0.0)
+
+
+def test_weights_roundtrip_without_distance_calls(monkeypatch):
+    cfg = {"x_radius": 5, "f_radius": 2, "n_funcs": 6, "seed": 3}
+    xs = enumerate_ball(TreeGeometry(2, 5))
+    ys = enumerate_ball(TreeGeometry(2, 2))
+    dmat = np.array([[distance(x, y) for y in ys] for x in xs])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distance called")
+
+    monkeypatch.setattr(treeheat.geometry, "distance", forbidden)
+    monkeypatch.setattr(treeheat.verify, "distance", forbidden, raising=False)
+    got = run_check("weights-roundtrip", cfg).measured["max_operator_ratio"]
+    monkeypatch.undo()
+
+    # the mask-matrix computation: one 0/1 matrix per distance
+    u = WeightSpec.from_closed_form(TreeGeometry(2, 5), 2.0, 1.0, 0.0, 0.0)
+    v = companion_weight(u, 1.5, 2.0)
+    v_vec = np.array([v.radial_value(len(x)) for x in xs])
+    masks = [dmat == j for j in range(int(dmat.max()) + 1)]
+    ktab = kernel_block(2, KernelFamily.stable(1.0), MaximalSpec.default(1.0).grid, len(masks) - 1)
+    rng = np.random.default_rng(3)
+    ref = 0.0
+    for _ in range(6):
+        fvec = rng.uniform(-1.0, 1.0, size=len(ys))
+        star = np.max(np.abs(np.stack([m @ fvec for m in masks], axis=1) @ ktab), axis=1)
+        ratio = float(np.sum(v_vec * star**2) ** 0.5) / float(np.sum(np.abs(fvec) ** 2) ** 0.5)
+        ref = max(ref, ratio)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)

@@ -163,7 +163,7 @@ def test_radial_explicit_agreement():
             for check, param in ((check_thm1_i, 1.0), (check_thm2_i, 0.5), (check_thm3_g, 1.0)):
                 a = check(radial, param, x)
                 b = check(explicit, param, x)
-                assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+                assert a.statistic == pytest.approx(b.statistic, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
@@ -189,7 +189,7 @@ def test_series_statistic_does_not_overflow():
                 if j <= radius - len(x)
             )
         assert math.isfinite(v.statistic)
-        assert v.statistic == pytest.approx(float(ref), rel=1e-11)
+        assert v.statistic == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
 def test_radial_sup_never_enumerates_the_ball(monkeypatch):
@@ -223,7 +223,7 @@ def test_thm1_thm2_consistency_at_matching_exponent():
         v1 = check_thm1_i(u, alpha)
         v2 = check_thm2_i(u, alpha / 2.0)
         assert v1.verdict == v2.verdict
-        assert v1.statistic == pytest.approx(v2.statistic, rel=1e-12)
+        assert v1.statistic == pytest.approx(v2.statistic, rel=1e-12, abs=0.0)
 
 
 def test_base_vertex_independence():
