@@ -8,8 +8,8 @@ atomically (temp file in the destination directory, then rename), as CSV
 (comma separator, '.' decimal point, scientific notation with 17 significant
 digits, LF, UTF-8) or JSON.
 
-Environment overrides for the default quadrature tolerances:
-TREEHEAT_ABS_TOL, TREEHEAT_REL_TOL, TREEHEAT_MAX_SUBDIVISIONS.
+Environment overrides for the default tolerances: TREEHEAT_ABS_TOL,
+TREEHEAT_REL_TOL.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .geometry import ROOT, TreeGeometry, Word, enumerate_ball
 from .kernels import KernelFamily, tabulate, write_kernel_csv
 from .operators import BallOperator, MaximalSpec, TreeFunction
 from .quadrature import QuadratureSpec
-from .verify import ALL_CHECKS, reports_to_json, run_suite
+from .verify import ALL_CHECKS, CHECK_PARAMETERS, reports_to_json, run_suite
 from .weights import WeightSpec, check_thm1_i, check_thm2_i, check_thm3_g
 
 EXIT_OK = 0
@@ -53,8 +53,6 @@ def quadrature_from_env(environ=None) -> QuadratureSpec:
         kwargs["abs_tol"] = float(env["TREEHEAT_ABS_TOL"])
     if "TREEHEAT_REL_TOL" in env:
         kwargs["rel_tol"] = float(env["TREEHEAT_REL_TOL"])
-    if "TREEHEAT_MAX_SUBDIVISIONS" in env:
-        kwargs["max_subdivisions"] = int(env["TREEHEAT_MAX_SUBDIVISIONS"])
     return QuadratureSpec(**kwargs)
 
 
@@ -281,8 +279,9 @@ def cmd_verify(args, spec) -> int:
         raise UsageError("use --suite all or --check <id>")
     config = {}
     if args.q is not None:
+        given = {"qs": (args.q,), "q": args.q}
         for cid in ids:
-            config[cid] = {"qs": (args.q,), "q": args.q}
+            config[cid] = {k: v for k, v in given.items() if k in CHECK_PARAMETERS[cid]}
     reports = run_suite(ids, config, spec)
     _emit(args.out, reports_to_json(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION

@@ -33,9 +33,10 @@ block of times, with one weight stream for all times of a stable block;
 tabulate is one of its columns plus a tail bound, kept in a bounded cache.
 
 q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
-form exp(-t) I_k(t), and the other two families integrate it against the
-stable density (over y = s t^{-2/alpha}) or the Gamma-weighted time mixture
-(over w = v^nu).
+form H_s(k) = e^{-s} I_k(s), and the other two families are positive
+mixtures of it, K_t(k) = sum_i w_i H_{c z_i}(k), over the stable density
+(z = y, c = t^{2/alpha}) or the Gamma(nu) density (z = 1/(4v), c = t^2), on
+nodes fixed per alpha or nu (_line_mixture).
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import gammaln, kve, xlog1py, xlogy
+from scipy.special import gammainc, gammaincc, gammaln, kve, xlog1py, xlogy
 
 from .errors import NumericalError
 from .geometry import TreeGeometry, sphere_size
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .special import _f1, bessel_i_scaled
+from .quadrature import _WG15, _WK, _XK, DEFAULT_SPEC, QuadratureSpec, kronrod_error
+from .special import bessel_i_scaled, log_y_density, stable_exponent_constant
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
@@ -290,16 +292,6 @@ def heat_kernel_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
     return out
 
 
-def _clamp(values, spec: QuadratureSpec):
-    values = np.asarray(values, dtype=float)
-    bad = values < -spec.abs_tol
-    if np.any(bad):
-        raise NumericalError(
-            f"kernel value negative beyond tolerance: {values[bad].min():.3e}"
-        )
-    return np.maximum(values, 0.0)
-
-
 _BLOCK = 256  # weights are made and summed this many rows at a time
 
 
@@ -493,6 +485,115 @@ def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
     return out
 
 
+def _mixture(edges, weigh, power: float, tail):
+    """A q = 1 family as a positive mixture of heat kernels at many times,
+    K_t(k) = sum_i w_i H_{c z_i}(k), c = t^power, H_s(k) = e^{-s} I_k(s), on
+    G7/K15 panels in x = ln z between consecutive edges; weigh(x) gives the
+    mixing density in x and its error at the nodes (a row per panel). Returns
+    z, the K15 and the embedded G7 weights, the error of each weight, power
+    and tail(c), a bound on the mass cut off at both ends. None depends on t."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[:-1, None] + edges[1:, None]) + half * _XK
+    density, err = weigh(x)
+    return (np.exp(x).ravel(), (density * half * _WK).ravel(),
+            (density * half * _WG15).ravel(), (err * half * _WK).ravel(), power, tail)
+
+
+_THIRD_DECADE = math.log(10.0) / 3.0
+_EXP_EDGES = (1.5, 2.5, 4, 6, 9, 13, 18, 25, 35, 50, 70, 100, 150, 230, 350, 500, 700)
+
+
+def _stable_mixture(alpha: float):
+    """P_t^alpha on the line, int f_{alpha,1}(y) H_{t^{2/alpha} y}(k) dy, on
+    panels in ln y weighted by Kanter's y f(y) (special.log_y_density).
+
+    With beta = alpha/2 and g = beta/(1 - beta), the density of ln y is about
+    1/g wide: the panels are 1/(4g) wide at its mode, ln A(pi/2)/g, and grow by
+    1.5 up to a third of a decade. Left of the mode it falls like e^{-L}, L =
+    c1 y^-g, so edges also sit at fixed L, out to L = 700. Past the last edge,
+    y_hi >= e^{60/(beta + 1/2)}, the mass is at most H_{c y_hi}(0) P(Y > y_hi),
+    P(Y > y) <= y^-beta/(1 - 1/e) by Markov's inequality on 1 - e^{-Y/y}.
+    """
+    beta = 0.5 * alpha
+    g = beta / (1.0 - beta)
+    c1 = stable_exponent_constant(alpha)
+    hi, lo = 60.0 / (beta + 0.5), (math.log(c1) - math.log(_EXP_EDGES[-1])) / g
+    mode = (beta * math.log(math.sin(0.5 * math.pi * beta))
+            + (1.0 - beta) * math.log(math.sin(0.5 * math.pi * (1.0 - beta)))) / beta
+    edges = [x for x in ((math.log(c1) - math.log(L)) / g for L in _EXP_EDGES) if x < mode]
+    left = right = mode
+    width = min(0.25 / g, _THIRD_DECADE)
+    while right < hi or left > lo:
+        edges += [left, right]
+        left, right, width = left - width, right + width, min(1.5 * width, _THIRD_DECADE)
+    edges = sorted({x for x in edges + [right] if x >= lo - 1e-9})
+    y_lo, y_hi = math.exp(edges[0]), math.exp(edges[-1])
+
+    def tail(c):
+        return (bessel_i_scaled(0, c * y_hi) * y_hi**-beta / (1.0 - math.exp(-1.0))
+                + math.exp(-c1 * y_lo**-g))
+
+    return _mixture(edges, lambda x: log_y_density(alpha, x), 2.0 / alpha, tail)
+
+
+def _wave_mixture(nu: float):
+    """T_t^nu on the line, int e^{-v} v^{nu-1}/Gamma(nu) H_{t^2/(4v)}(k) dv, on
+    panels in ln z = -ln(4v) for v in [v_lo, 800], v_lo = e^{-max(60, 30/nu)},
+    with closed-form weights that carry their rounding. The Gamma density and
+    the heat kernel's peak are about 1/sqrt(nu) wide in ln v; so are the
+    panels, at most 1. The mass cut off is at most H_{t^2/(4 v_lo)}(0)
+    P(V < v_lo) + P(V > 800).
+    """
+    log_v_lo = -max(60.0, 30.0 / nu)
+    v_lo = math.exp(log_v_lo)
+    lo, hi = -math.log(3200.0), -math.log(4.0) - log_v_lo
+
+    def weigh(x):
+        log_v = -math.log(4.0) - x
+        density = np.exp(nu * log_v - np.exp(log_v) - math.lgamma(nu))
+        rounding = np.abs(nu * log_v) + np.exp(log_v) + abs(math.lgamma(nu)) + 8.0
+        return density, rounding * _EPS * density
+
+    def tail(c):
+        return bessel_i_scaled(0, c / (4.0 * v_lo)) * gammainc(nu, v_lo) + gammaincc(nu, 800.0)
+
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) * max(1.0, math.sqrt(nu) / 1.2)) + 1)
+    return _mixture(edges, weigh, 2.0, tail)
+
+
+@lru_cache(maxsize=8)  # node sets kept, the least recently used dropped first
+def _time_mixture(family: KernelFamily):
+    if family.kind == "stable":
+        return _stable_mixture(family.alpha)
+    return _wave_mixture(family.nu)
+
+
+def _line_mixture(family: KernelFamily, ts, ks, spec: QuadratureSpec):
+    """Stable or wave values K[k, i] = K_{ts[i]}(k) on the line (q = 1): per
+    time one Bessel matrix H_{c z_i}(k) summed against the family's weights,
+    each value as numpy's pairwise sum of one contiguous row (the same bits
+    alone and in a block). The bound adds the Gauss-Kronrod estimate of every
+    panel, the weights' errors, the cut-off mass and the rounding of the sum.
+    """
+    z, w, gauss, err, power, tail = _time_mixture(family)
+    ks = np.asarray(ks, dtype=np.int64)[:, None]
+    starts = np.arange(0, len(z), len(_XK))
+    out = np.empty((len(ks), len(ts)))
+    for i, t in enumerate(np.asarray(ts, dtype=float).tolist()):
+        c = t**power
+        h = bessel_i_scaled(ks, c * z)
+        terms = h * w
+        values = np.add.reduce(terms, axis=1)
+        panels = kronrod_error(np.add.reduceat(terms, starts, axis=1),
+                               np.add.reduceat(h * gauss, starts, axis=1))
+        bound = (panels.sum(axis=1) + np.add.reduce(h * err, axis=1) + tail(c)
+                 + (math.log2(len(z)) + 20.0) * _EPS * values)
+        _check_bound(values, bound, spec, f"{family.label()} kernel at q=1, t={t:g}")
+        out[:, i] = values
+    return out
+
+
 def _binomial_weights(beta: float, rho: float):
     """Endless blocks of W_n = |binom(beta, n)| rho^n (W_0 = 0), one running
     product from W_1 = beta rho, each good to (6n + 2) eps."""
@@ -554,74 +655,30 @@ def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -
     return float(heat_kernel_many(q, k, [t], spec)[0])
 
 
-def stable_kernel(
-    q: int, alpha: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """P_t^alpha(k): the walk mixture for q >= 2; for q = 1,
-    int_0^inf f_{alpha,t}(s) H_s(k) ds."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+def _value(q: int, family: KernelFamily, t: float, k: int, spec: QuadratureSpec) -> float:
+    """One stable or wave value: the one-value case of kernel_block."""
     _check_time(t)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if q > 1:
-        return float(_walk_mixture(q, KernelFamily.stable(alpha), [t], [k], spec)[0, 0])
-    beta = alpha / 2.0
-    tau = t ** (1.0 / beta)  # t^{2/alpha}
+        return float(_walk_mixture(q, family, [t], [k], spec)[0, 0])
+    return float(_line_mixture(family, [t], [k], spec)[0, 0])
 
-    def integrand(y):
-        y = np.asarray(y, dtype=float)
-        dens = np.array([_f1(beta, float(yi)) for yi in y])
-        out = np.zeros_like(y)
-        live = dens > 0.0
-        if np.any(live):
-            out[live] = dens[live] * heat_kernel_many(q, k, tau * y[live], spec)
-        return out
 
-    bp = [0.5, 1.0, 2.0, max(k, 1) / tau]  # e^{-s} I_k(s) peaks near s = k
-    val, _ = integrate(integrand, 0.0, math.inf, spec, initial_panels=16, breakpoints=bp)
-    return float(_clamp(np.array([val]), spec)[0])
+def stable_kernel(
+    q: int, alpha: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
+) -> float:
+    """P_t^alpha(k): the walk mixture for q >= 2, the Kanter time mixture for
+    q = 1."""
+    return _value(q, KernelFamily.stable(alpha), t, k, spec)
 
 
 def wave_kernel(
     q: int, nu: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """T_t^nu(k): the walk mixture for q >= 2; for q = 1, a Gamma-weighted
-    time mixture of the heat kernel.
-
-    In w = v^nu for the substitution v = t^2/(4s):
-    T_t^nu(k) = (1/Gamma(nu+1)) int_0^inf e^{-w^{1/nu}} H_{t^2/(4 w^{1/nu})}(k) dw.
-    """
-    if nu <= 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
-    _check_time(t)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if q > 1:
-        return float(_walk_mixture(q, KernelFamily.wave(nu), [t], [k], spec)[0, 0])
-    inv_nu = 1.0 / nu
-
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        with np.errstate(over="ignore", divide="ignore"):
-            v = np.where(w > 0, w, 1.0) ** inv_nu
-            s = t * t / (4.0 * v)
-        live = (w > 0) & np.isfinite(v) & (s > 0) & np.isfinite(s)
-        if np.any(live):
-            out[live] = np.exp(-v[live]) * heat_kernel_many(q, k, s[live], spec)
-        return out
-
-    # the integrand spreads over decades of w below its peak (s grows only
-    # like w^{-1/nu}), so panels start one per decade from 1e-3 w_peak to 10
-    s_peak = max(k, 1)
-    w_peak = (t * t / (4.0 * s_peak)) ** nu
-    lo = max(1e-3 * w_peak, 1e-300)
-    decades = max(1, math.ceil(math.log10(10.0 / lo)))
-    bp = sorted({w_peak, *(lo * 10.0**i for i in range(decades + 1))})
-    val, _ = integrate(integrand, 0.0, math.inf, spec, initial_panels=16, breakpoints=bp)
-    val /= math.gamma(nu + 1.0)
-    return float(_clamp(np.array([val]), spec)[0])
+    """T_t^nu(k): the walk mixture for q >= 2, the Gamma time mixture for
+    q = 1."""
+    return _value(q, KernelFamily.wave(nu), t, k, spec)
 
 
 def comparator_Z(alpha: float, t: float, k: int) -> float:
@@ -640,9 +697,7 @@ def kernel_value(
 ) -> float:
     if family.kind == "heat":
         return heat_kernel(q, t, k, spec)
-    if family.kind == "stable":
-        return stable_kernel(q, family.alpha, t, k, spec)
-    return wave_kernel(q, family.nu, t, k, spec)
+    return _value(q, family, t, k, spec)
 
 
 @dataclass(frozen=True)
@@ -707,8 +762,8 @@ def kernel_block(
     """K[j, i] = K_{ts[i]}(j) for 0 <= j <= kmax, every value certified.
 
     Heat makes one heat_kernel_many call per j; for q >= 2 stable and wave
-    read every j from their weight streams (_walk_mixture); the q = 1
-    subordinated families integrate each value. A value depends on (q,
+    read every j from their weight streams (_walk_mixture), for q = 1 from
+    one Bessel matrix per time (_line_mixture). A value depends on (q,
     family, t, j, spec) only, not on the block it comes in.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -716,13 +771,11 @@ def kernel_block(
         _check_time(t)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    if q > 1 and family.kind != "heat":
-        return _walk_mixture(q, family, ts, range(kmax + 1), spec)
     if family.kind == "heat":
-        block = [heat_kernel_many(q, j, ts, spec) for j in range(kmax + 1)]
-    else:
-        block = [[kernel_value(q, family, t, j, spec) for t in ts] for j in range(kmax + 1)]
-    return _clamp(block, spec)
+        return np.array([heat_kernel_many(q, j, ts, spec) for j in range(kmax + 1)])
+    if q > 1:
+        return _walk_mixture(q, family, ts, range(kmax + 1), spec)
+    return _line_mixture(family, ts, range(kmax + 1), spec)
 
 
 _TABLE_CACHE_SIZE = 256  # tables kept, the least recently used dropped first

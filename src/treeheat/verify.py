@@ -452,6 +452,7 @@ def _check_weights_roundtrip(spec, c):
 
 
 ALL_CHECKS = tuple(_CHECKS)
+CHECK_PARAMETERS = {cid: tuple(defaults) for cid, (_, defaults) in _CHECKS.items()}
 
 
 def run_check(
@@ -459,10 +460,15 @@ def run_check(
     config: dict | None = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
-    """Run one check; numerical failures produce a failed report, not a crash."""
+    """Run one check; numerical failures produce a failed report, not a crash.
+    A config key that is not one of the check's parameters is a ValueError."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(ALL_CHECKS)}")
     cfg = config or {}
+    unknown = sorted(set(cfg) - set(CHECK_PARAMETERS[check_id]))
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(map(repr, unknown))} for check "
+                         f"{check_id!r}; its parameters: {', '.join(CHECK_PARAMETERS[check_id])}")
     start = time.monotonic()
     try:
         check, defaults = _CHECKS[check_id]

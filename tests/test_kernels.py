@@ -296,6 +296,51 @@ def test_walk_table_below_ground_spherical_function(q):
     assert np.all(v[:3001, :61].max(axis=0) <= phi0)
 
 
+def fourier_stable_line(alpha, t, k):
+    """P_t^alpha(k) on the line, (1/pi) int_0^pi exp(-t (1 - cos th)^{alpha/2})
+    cos(k th) dth, by mpmath at 40 digits (1 - cos th = 2 sin^2(th/2))."""
+    with mp.workdps(40):
+        a, t = mp.mpf(alpha), mp.mpf(t)
+
+        def f(th):
+            return mp.exp(-t * (2 * mp.sin(th / 2) ** 2) ** (a / 2)) * mp.cos(k * th)
+
+        return float(mp.quad(f, [mp.pi * j / (k + 1) for j in range(k + 2)]) / mp.pi)
+
+
+@pytest.mark.parametrize("alpha", [1.7, 1.9, 1.99])
+@pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+def test_stable_line_near_alpha_two(alpha, t):
+    # the Kanter time mixture holds its relative accuracy as alpha -> 2,
+    # where the density of ln y narrows to a width of (2 - alpha)/alpha
+    ks = (0, 1, 5, 15, 30)
+    block = kernel_block(1, KernelFamily.stable(alpha), [t], 30)
+    for k in ks:
+        assert block[k, 0] == pytest.approx(fourier_stable_line(alpha, t, k), rel=1e-10, abs=0.0), k
+
+
+def subordinated_wave_line(nu, t, k):
+    """T_t^nu(k) on the line, (1/Gamma(nu)) int_0^inf e^{-v} v^{nu-1}
+    H_{t^2/(4v)}(k) dv, by mpmath at 30 digits."""
+    with mp.workdps(30):
+        nu, t = mp.mpf(nu), mp.mpf(t)
+
+        def f(v):
+            s = t * t / (4 * v)
+            return mp.exp(-v - s) * v ** (nu - 1) * mp.besseli(k, s)
+
+        nodes = [0] + [mp.mpf(10) ** j for j in range(-10, 3)] + [mp.inf]
+        return float(mp.quad(f, nodes) / mp.gamma(nu))
+
+
+@pytest.mark.parametrize("k", [5, 20, 60])
+def test_wave_line_relative_to_value(k):
+    # the values fall to 3e-12 at k = 60: far below abs_tol, certified relative
+    # to themselves
+    got = wave_kernel(1, 2.5, 1.0, k)
+    assert got == pytest.approx(subordinated_wave_line(2.5, 1.0, k), rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("q,t", [(1, 0.3), (2, 0.7)])
 def test_wave_half_equals_stable_one(q, t):
     for k in range(0, 16, 3):

@@ -113,6 +113,30 @@ def test_stable_density_is_probability(alpha):
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
+def series_stable_density(alpha, y):
+    """f_{alpha,1}(y) from its convergent series (1/pi) sum_{n>=1} (-1)^{n+1}
+    Gamma(n beta + 1)/n! sin(n pi beta) y^{-n beta - 1}, beta = alpha/2, summed
+    at 100 digits: its terms reach 1e24 before they fall."""
+    with mp.workdps(100):
+        beta, y = mp.mpf(alpha) / 2, mp.mpf(y)
+        total = mp.mpf(0)
+        for n in range(1, 6000):
+            term = (-1) ** (n + 1) * mp.gamma(n * beta + 1) / mp.factorial(n)
+            term *= mp.sinpi(n * beta) * y ** (-n * beta - 1)
+            total += term
+            if n > 100 and abs(term) < mp.mpf(10) ** -100:
+                break
+        return float(total / mp.pi)
+
+
+def test_stable_density_deep_left_tail():
+    # deep in the left tail (9.2214e-23) the density keeps its relative accuracy
+    params = StableDensityParams(alpha=1.7, t=1.0)
+    expect = series_stable_density(1.7, 0.3)
+    assert expect == pytest.approx(9.2214e-23, rel=1e-4)
+    assert float(stable_density(params, 0.3)) == pytest.approx(expect, rel=1e-10, abs=0.0)
+
+
 def test_stable_density_zero_for_nonpositive():
     params = StableDensityParams(alpha=1.2, t=1.0)
     assert float(stable_density(params, 0.0)) == 0.0

@@ -37,6 +37,12 @@ def test_all_fifteen_checks_registered():
     assert set(ALL_CHECKS) == expected
 
 
+def test_misspelt_parameter_rejected():
+    # a misspelt key must not run the default (kmax 40, 533 rows) silently
+    with pytest.raises(ValueError, match=r"'kmx'.*Z-profile.*ts, kmax, threshold"):
+        run_check("Z-profile", {"kmx": 3})
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError, match="unknown check"):
         run_check("no-such-check")
@@ -217,7 +223,7 @@ def test_block_checks_equal_per_value_route(check_id, cfg, old):
 
 
 def test_prop2_band_close_to_per_value_route():
-    # q = 1 integrates each value; the run's rel_tol 1e-10 replaces a forced 1e-9
+    # the per-value route ran under a looser spec (rel_tol 1e-9)
     cfg = {"alphas": (0.5, 1.5), "ts": (0.1, 0.9), "kmax": 5}
     got, ref = run_check("prop2-band", cfg).measured, _old_prop2(cfg)
     assert set(got) == set(ref)
