@@ -29,8 +29,9 @@ L^{alpha/2} (fractional_kernel) is a walk mixture of one sign, certified
 the same way.
 
 kernel_block(q, family, ts, kmax) gives K[j, i] = K_{ts[i]}(j) for a whole
-block of times, with one weight stream for all times of a stable block;
-tabulate is one of its columns plus a tail bound, kept in a bounded cache.
+block of times: one heat_kernel_many call over every (j, t) for heat, one
+weight stream for all times of a stable block. tabulate is one column plus
+a bound on the mass beyond the ball from the w_n alone (_mass_beyond).
 
 q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
 form H_s(k) = e^{-s} I_k(s), and the other two families are positive
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,6 +64,11 @@ _TINY = float(np.finfo(float).tiny)
 def _check_time(t: float) -> None:
     if not math.isfinite(t) or t <= 0:
         raise ValueError(f"t must be finite and > 0, got {t}")
+
+
+def _check_q(q: int) -> None:
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +229,9 @@ def _walk_table(q: int) -> _WalkTable:
         return _WALK_TABLES[q]
 
 
-def _heat_sums(q: int, k: int, s: np.ndarray):
-    """sum_n e^{-s} s^n/n! u_n(k) for times 0 < s <= s_cut, with a
-    bound on the error of each value.
+def _heat_sums(q: int, k: np.ndarray, s: np.ndarray):
+    """sum_n e^{-s} s^n/n! u_n(k) for pairs (k[i], s[i]) with 0 < s <= s_cut,
+    with a bound on the error of each value.
 
     Written as e^{-s b} sum_n Poisson(n; s rho) v_n(k), b = 1 - rho. Each time
     sums its own window of n from max(k, mu - 12 sqrt(mu) - 40) to
@@ -250,9 +255,9 @@ def _heat_sums(q: int, k: int, s: np.ndarray):
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(s)), counts)
     n = lo[owner] + 2 * (np.arange(int(counts.sum())) - starts[owner])
-    table, c = _walk_table(q).get(int(hi.max()), k)
+    table, c = _walk_table(q).get(int(hi.max()), int(k.max()))
     mu_n = mu[owner]
-    terms = np.exp(-(s[owner] * b + c[n] + _bd0(n, mu_n))) * table[n, k]
+    terms = np.exp(-(s[owner] * b + c[n] + _bd0(n, mu_n))) * table[n, k[owner]]
     values = np.add.reduceat(terms, starts)
 
     outside = np.exp(-_bd0(hi + 1, mu))
@@ -271,23 +276,29 @@ def _check_bound(values, bound, spec: QuadratureSpec, what: str) -> None:
         )
 
 
-def heat_kernel_many(q: int, k: int, s, spec: QuadratureSpec = DEFAULT_SPEC):
-    """H_s(k) for an array of times s; q = 1 uses the Bessel form.
+def heat_kernel_many(q: int, k, s, spec: QuadratureSpec = DEFAULT_SPEC):
+    """H_s(k) over distances k and times s that broadcast against each other
+    (one k and an array of times, or a column of k against a row of times);
+    q = 1 uses the Bessel form.
 
     For q >= 2, the walk mixture sum_n e^{-s} s^n/n! u_n(k); each value is
     certified to max(abs_tol, rel_tol |value|) or NumericalError is raised.
     Times beyond s_cut give 0.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    _check_q(q)
+    k, s = np.broadcast_arrays(np.asarray(k, dtype=np.int64),
+                               np.atleast_1d(np.asarray(s, dtype=float)))
     if np.any(np.isnan(s)) or np.any(s <= 0):
         raise ValueError("times must be positive, not NaN")
+    if np.any(k < 0):
+        raise ValueError(f"k must be >= 0, got {k.min()}")
     if q == 1:
         return np.asarray(bessel_i_scaled(k, s), dtype=float)
-    out = np.zeros_like(s)
-    live = np.flatnonzero(s <= _time_cutoff(q))
-    if len(live):
-        vals, bound = _heat_sums(q, k, s[live])
-        _check_bound(vals, bound, spec, f"heat kernel at q={q}, k={k}")
+    out = np.zeros(s.shape)
+    live = s <= _time_cutoff(q)
+    if live.any():
+        vals, bound = _heat_sums(q, k[live], s[live])
+        _check_bound(vals, bound, spec, f"heat kernel at q={q}")
         out[live] = vals
     return out
 
@@ -456,20 +467,26 @@ def _stacked(streams):
         yield np.array([w for w, _ in parts]), np.array([e for _, e in parts])
 
 
+def _log_multiplier(family: KernelFamily, ts: np.ndarray, lam: float) -> np.ndarray:
+    """ln phi(lam) = ln sum_n w_n (1 - lam)^n at every time: e^{-t lam^{alpha/2}}
+    (stable) or 2 (x/2)^nu K_nu(x) / Gamma(nu), x = t sqrt(lam) (wave); x is
+    capped at 1e9, which only raises the value, as phi falls with x."""
+    if family.kind == "stable":
+        return -ts * lam ** (0.5 * family.alpha)
+    nu = family.nu
+    xs = [min(t * math.sqrt(lam), 1e9) for t in ts.tolist()]
+    return np.array(
+        [_LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x for x in xs]
+    )
+
+
 def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
     """Stable or wave values K[k, i] = K_{ts[i]}(k), q >= 2: one weight stream
     for all times (stable) or one per time (wave), summed by _mix."""
     rho = _walk_decay(q)
     ts = np.asarray(ts, dtype=float)
     # every value is at most phi0(k) sum_n W_n = phi0(k) phi(1 - rho)
-    if family.kind == "stable":
-        log_mass = -ts * (1.0 - rho) ** (0.5 * family.alpha)
-    else:
-        nu = family.nu
-        xs = [min(t * math.sqrt(1.0 - rho), 1e9) for t in ts.tolist()]  # the mass falls as x grows
-        log_mass = np.array(
-            [_LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x for x in xs]
-        )
+    log_mass = _log_multiplier(family, ts, 1.0 - rho)
     out = np.zeros((len(ks), len(ts)))
     live = np.flatnonzero(log_mass >= math.log(_TINY))
     if not len(live):
@@ -626,6 +643,7 @@ def fractional_kernel(
     2^-beta Gamma(2 beta + 1) / Gamma(1 + beta)^2 at k = 0 (Ciaurri, Roncal,
     Stinga, Torrea and Varona, Adv. Math. 330, 2018; reflection formula).
     """
+    _check_q(q)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if kmax < 0:
@@ -647,16 +665,13 @@ def fractional_kernel(
 
 def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """H_t(k) on the degree-(q+1) tree; q = 1 routes to the Bessel form."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
     _check_time(t)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     return float(heat_kernel_many(q, k, [t], spec)[0])
 
 
 def _value(q: int, family: KernelFamily, t: float, k: int, spec: QuadratureSpec) -> float:
     """One stable or wave value: the one-value case of kernel_block."""
+    _check_q(q)
     _check_time(t)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -702,7 +717,8 @@ def kernel_value(
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Tabulated k -> K_t(k) on a ball, with a certified mass tail bound."""
+    """Tabulated k -> K_t(k) on a ball; tail_bound, in [0, 1], bounds the
+    mass sum_{k > radius} sphere_size(k) K_t(k) beyond it."""
 
     geom: TreeGeometry
     family: KernelFamily
@@ -721,39 +737,33 @@ class RadialKernel:
         )
 
 
-def _tail_bound(geom: TreeGeometry, terms: np.ndarray, spec: QuadratureSpec) -> float:
-    """Bound sum_{k>radius} sphere_size(k) K(k) from the computed mass terms.
+def _mass_beyond(family: KernelFamily, t: float, r: int) -> float:
+    """A bound in [0, 1] on the mass of K_t beyond radius r, at every q.
 
-    Geometric fit when the empirical ratio stays below 0.9 and does not grow
-    (heat-like decay), otherwise a fitted power-law majorant with a safety
-    factor; families with genuinely heavy radial tails (stable, wave) land in
-    the second branch. Growing ratios (wave with large nu) mean the decay
-    slows, and a geometric series from the last ratio falls short of the tail.
+    K_t = sum_n w_n P^n and a walk of n steps stays within distance n, so
+    the mass beyond r is at most P(N > r), P(N = n) = w_n. Heat: N is
+    Poisson(t), P(N > r) = gammainc(r + 1, t), whose relative error stays
+    below 1.3 eps (|(r + 1) ln t| + t + ln (r + 1)! + 16), the rounding of
+    its log terms (against mpmath, r <= 2000, 1e-4 <= t <= 1e5); 8 times
+    that is added. Stable and wave: 1 - (w_0 + ... + w_r) from the streams
+    at rho = 1, plus the weights' rounding; 1 where Chernoff, P(N <= r) <=
+    2^r phi(1/2), is below eps, which keeps far times out of the streams.
     """
-    r = geom.radius
-    if r < 4:
-        raise NumericalError("radius too small for tail certification")
-    tail_terms = terms[-3:]
-    total = float(terms.sum())
-    if float(tail_terms.max()) <= max(1e-13, 1e-12 * total):
-        # boundary terms are at numerical noise scale; the tail is negligible
-        return float(max(spec.abs_tol, 5.0 * tail_terms.max()))
-    ratios = terms[-3:] / np.maximum(terms[-4:-1], 1e-300)
-    rho = float(ratios.max())
-    if rho < 0.9 and np.all(np.diff(ratios) <= 0.0):
-        return float(terms[-1] * rho / (1.0 - rho))
-    window = min(8, r // 2)
-    ks = np.arange(r - window + 1, r + 1, dtype=float)
-    ms = terms[-window:]
-    if np.any(ms <= 0):
-        raise NumericalError("cannot certify tail: vanishing terms with slow decay")
-    slope = float(np.polyfit(np.log(ks), np.log(ms), 1)[0])
-    if slope > -1.05:
-        raise NumericalError(
-            f"mass terms decay too slowly (slope {slope:.3f}); increase radius"
-        )
-    c = float(np.max(ms / ks**slope)) * 2.0
-    return c * r ** (slope + 1.0) / (-slope - 1.0)
+    if family.kind == "heat":
+        rounding = abs((r + 1) * math.log(t)) + t + math.lgamma(r + 2.0) + 16.0
+        return min(1.0, float(gammainc(r + 1, t)) * (1.0 + 8.0 * rounding * _EPS))
+    ts = np.array([t])
+    if r * _LN2 + float(_log_multiplier(family, ts, 0.5)[0]) < math.log(_EPS):
+        return 1.0
+    if family.kind == "stable":
+        stream = _stable_weights(family.alpha, ts, 1.0)
+    else:
+        stream = _wave_weights(family.nu, t, 1.0)
+    blocks = [next(stream) for _ in range(r // _BLOCK + 1)]
+    w = np.concatenate([np.ravel(b) for b, _ in blocks])[: r + 1]
+    err = np.concatenate([np.ravel(e) for _, e in blocks])[: r + 1]
+    head = math.fsum(w.tolist())
+    return min(1.0, max(0.0, 1.0 - head) + float(w @ err) + (r + 2) * _EPS)
 
 
 def kernel_block(
@@ -761,26 +771,22 @@ def kernel_block(
 ) -> np.ndarray:
     """K[j, i] = K_{ts[i]}(j) for 0 <= j <= kmax, every value certified.
 
-    Heat makes one heat_kernel_many call per j; for q >= 2 stable and wave
-    read every j from their weight streams (_walk_mixture), for q = 1 from
-    one Bessel matrix per time (_line_mixture). A value depends on (q,
-    family, t, j, spec) only, not on the block it comes in.
+    Heat makes one heat_kernel_many call over every (j, t) pair; for q >= 2
+    stable and wave read every j from their weight streams (_walk_mixture),
+    for q = 1 from one Bessel matrix per time (_line_mixture). A value
+    depends on (q, family, t, j, spec) only, not on the block it comes in.
     """
+    _check_q(q)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     for t in ts:
         _check_time(t)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if family.kind == "heat":
-        return np.array([heat_kernel_many(q, j, ts, spec) for j in range(kmax + 1)])
+        return heat_kernel_many(q, np.arange(kmax + 1)[:, None], ts, spec)
     if q > 1:
         return _walk_mixture(q, family, ts, range(kmax + 1), spec)
     return _line_mixture(family, ts, range(kmax + 1), spec)
-
-
-_TABLE_CACHE_SIZE = 256  # tables kept, the least recently used dropped first
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_LOCK = threading.Lock()
 
 
 def tabulate(
@@ -790,28 +796,15 @@ def tabulate(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> RadialKernel:
     """Tabulate K_t(k) for 0 <= k <= radius, one column of kernel_block, with
-    a certified tail bound."""
-    _check_time(t)
-    key = (geom, family, t, spec)
-    with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-        if hit is not None:
-            _TABLE_CACHE.move_to_end(key)
-            return hit
+    a bound on the mass beyond the ball (_mass_beyond)."""
     values = kernel_block(geom.q, family, [t], geom.radius, spec)[:, 0]
-    terms = np.array([sphere_size(geom, k) * v for k, v in enumerate(values)])
-    bound = _tail_bound(geom, terms, spec)
-    kernel = RadialKernel(geom, family, t, tuple(float(v) for v in values), bound)
-    with _TABLE_LOCK:
-        kernel = _TABLE_CACHE.setdefault(key, kernel)
-        _TABLE_CACHE.move_to_end(key)
-        while len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-            _TABLE_CACHE.popitem(last=False)
-    return kernel
+    return RadialKernel(geom, family, t, tuple(float(v) for v in values),
+                        _mass_beyond(family, t, geom.radius))
 
 
 def write_kernel_csv(kernel: RadialKernel, fh) -> None:
-    """CSV schema: metadata comment line, then k,sphere_size,value,cumulative_mass."""
+    """CSV schema: metadata comment line, then k,sphere_size,value,cumulative_mass;
+    the last cumulative_mass is within the metadata's tail_bound of 1."""
     fam = kernel.family
     params = ""
     if fam.kind == "stable":

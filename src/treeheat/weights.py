@@ -39,7 +39,7 @@ from .geometry import (
     sphere_size,
     validate_word,
 )
-from .kernels import KernelFamily, tabulate
+from .kernels import KernelFamily, kernel_block
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 ADMISSIBLE = "admissible"
@@ -58,6 +58,8 @@ class ClosedFormWeight:
     b: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.c, self.a, self.b)):
+            raise ValueError("c, a and b must be finite")
         if not self.c > 0:
             raise ValueError("coefficient c must be > 0")
 
@@ -88,11 +90,11 @@ class WeightSpec:
         if self.radial is not None:
             if len(self.radial) != self.geom.radius + 1:
                 raise ValueError("radial weight length must be radius + 1")
-            if any(not v > 0 for v in self.radial):
-                raise ValueError("weights must be strictly positive")
+            if any(not 0 < v < math.inf for v in self.radial):
+                raise ValueError("weights must be finite and strictly positive")
         if self.table is not None:
-            if any(not v > 0 for v in self.table.values()):
-                raise ValueError("weights must be strictly positive")
+            if any(not 0 < v < math.inf for v in self.table.values()):
+                raise ValueError("weights must be finite and strictly positive")
             if len(self.table) != self.geom.ball_size():
                 raise ValueError("an explicit weight table must cover the whole ball")
 
@@ -362,10 +364,9 @@ def check_thm3_g(
     """Heat-family condition with the tabulated kernel H_R as the profile."""
     if not R > 0.0:
         raise ValueError(f"R must be > 0, got {R}")
-    geom = TreeGeometry(u.geom.q, max(u.geom.radius, 4))
-    kern = tabulate(geom, KernelFamily.heat(), R, spec)
+    h = kernel_block(u.geom.q, KernelFamily.heat(), [R], u.geom.radius, spec)[:, 0]
     with np.errstate(divide="ignore"):
-        log_h = np.log(np.array(kern.values))
+        log_h = np.log(h)
     return _check(u, x, log_h, "Thm3-g", {"R": R, "weight": u.label()})
 
 

@@ -37,6 +37,21 @@ def test_kernel_row_count(tmp_path, capsys):
     assert len(lines) == 2 + 26
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--q", "3", "--family", "stable", "--alpha", "0.5", "--t", "3", "--radius", "12"],
+     ["--q", "2", "--family", "heat", "--t", "0.5", "--radius", "2"],
+     ["--q", "2", "--family", "heat", "--t", "800", "--radius", "6"]],
+)
+def test_kernel_tail_bound_covers_missing_mass(tmp_path, args):
+    # small radii and mass far outside the ball get a table and a true bound
+    out = tmp_path / "k.csv"
+    assert main(["kernel", *args, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    tail_bound = float(lines[0].rsplit("tail_bound=", 1)[1])
+    assert 1.0 - float(lines[-1].split(",")[3]) <= tail_bound <= 1.0
+
+
 def test_kernel_q1_stable_matches_comparator_band(tmp_path):
     out = tmp_path / "p.csv"
     code = main(
@@ -149,6 +164,25 @@ def test_weights_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "not-admissible"
+
+
+@pytest.mark.parametrize("weight", ["1e999", "q^(1e999*k)"])
+def test_weights_non_finite_closed_form_exits_one(capsys, weight):
+    code = main(["weights", "--q", "2", "--p", "2", "--condition", "thm1-i", "--alpha", "1",
+                 "--weight", weight, "--radius", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_weights_non_finite_csv_exits_one(tmp_path, capsys):
+    fin = tmp_path / "w.csv"
+    fin.write_text("value\n1\ninf\n1\n", encoding="utf-8")
+    code = main(["weights", "--q", "2", "--p", "2", "--condition", "thm1-i", "--alpha", "1",
+                 "--weight-csv", str(fin), "--radius", "2"])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_weights_off_root_sup_at_default_radius(capsys):

@@ -18,6 +18,7 @@ from treeheat.kernels import (
     RadialKernel,
     _walk_table,
     comparator_Z,
+    fractional_kernel,
     heat_kernel,
     heat_kernel_many,
     kernel_block,
@@ -27,7 +28,7 @@ from treeheat.kernels import (
     wave_kernel,
     write_kernel_csv,
 )
-from treeheat.operators import radial_convolve
+from treeheat.operators import MaximalSpec, radial_convolve
 from treeheat.quadrature import DEFAULT_SPEC, integrate
 from treeheat.special import StableDensityParams, bessel_i_scaled, stable_density
 
@@ -96,6 +97,17 @@ def test_heat_kernel_many_is_batch_independent(q, k):
     for i, t in enumerate([2.3, 7.9, 0.01, 300.0]):
         alone = heat_kernel_many(q, k, [t])[0]
         assert alone.tobytes() == batch[i].tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_heat_block_equals_per_k_calls(q):
+    # one call over every (k, t) pair gives each value the bits of its own call,
+    # on the maximal grid, at large times and past the spectral cutoff
+    ts = np.array(MaximalSpec.default(1.0).grid + (300.0, 5000.0, 2.0 * kernels._time_cutoff(q)))
+    block = kernel_block(q, KernelFamily.heat(), ts, 40)
+    for k in range(41):
+        assert block[k].tobytes() == heat_kernel_many(q, k, ts).tobytes(), k
+    assert np.all(block[:, -1] == 0.0)
 
 
 def spectral_heat(q, t, k):
@@ -183,6 +195,13 @@ def test_non_finite_times_rejected(bad):
 def test_heat_kernel_many_rejects_nan():
     with pytest.raises(ValueError):
         heat_kernel_many(2, 1, [0.5, math.nan])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_heat_kernel_many_rejects_negative_k(q):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        heat_kernel_many(q, np.array([[0], [-1]]), [0.5])
+    assert heat_kernel_many(q, 1, [0.5])[0] == heat_kernel(q, 0.5, 1)
 
 
 def closed_form_half_stable(t, s):
@@ -405,6 +424,37 @@ def test_tail_bound_covers_slowing_decay(q, t):
     assert 0.0 < 1.0 - kern.mass() <= kern.tail_bound
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize(
+    "family",
+    [KernelFamily.heat(), KernelFamily.stable(0.3), KernelFamily.stable(1.0),
+     KernelFamily.wave(0.75), KernelFamily.wave(2.5)],
+)
+def test_tail_bound_covers_the_missing_mass(q, family):
+    # every table comes with a bound, at any radius and at times far out
+    for t in (0.05, 1.0, 50.0, 800.0, 1e6, 1e12, 1e20):
+        for radius in (0, 3, 6, 12):
+            kern = tabulate(TreeGeometry(q, radius), family, t)
+            assert 1.0 - kern.mass() <= kern.tail_bound + 1e-9, (t, radius)
+            assert kern.tail_bound <= 1.0 + 1e-9, (t, radius)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda q: kernel_block(q, KernelFamily.heat(), [0.5], 3),
+     lambda q: kernel_block(q, KernelFamily.stable(1.0), [0.5], 3),
+     lambda q: heat_kernel_many(q, 1, [0.5]),
+     lambda q: heat_kernel(q, 0.5, 1),
+     lambda q: stable_kernel(q, 1.0, 0.5, 1),
+     lambda q: fractional_kernel(q, 1.0, 3)],
+    ids=["heat-block", "stable-block", "heat-many", "heat", "stable", "fractional"],
+)
+@pytest.mark.parametrize("q", [0, -1])
+def test_q_below_one_is_rejected(call, q):
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        call(q)
+
+
 @pytest.mark.parametrize(
     "q,family",
     [(1, KernelFamily.heat()), (2, KernelFamily.heat()), (3, KernelFamily.heat()),
@@ -434,26 +484,6 @@ def test_stable_time_alone_equals_block(q, alpha):
     for i in (0, 40, 63):
         alone = kernel_block(q, family, [ts[i]], 3)[:, 0]
         assert np.array_equal(alone, block[:, i]), ts[i]
-
-
-def test_table_cache_is_bounded():
-    geom = TreeGeometry(2, 4)
-    for i in range(kernels._TABLE_CACHE_SIZE + 20):
-        tabulate(geom, KernelFamily.heat(), 0.5 + 1e-3 * i)
-    assert len(kernels._TABLE_CACHE) == kernels._TABLE_CACHE_SIZE
-    # the most recent tables stay, the oldest are gone
-    key = (geom, KernelFamily.heat(), 0.5 + 1e-3 * (kernels._TABLE_CACHE_SIZE + 19), DEFAULT_SPEC)
-    assert key in kernels._TABLE_CACHE
-    assert (geom, KernelFamily.heat(), 0.5, DEFAULT_SPEC) not in kernels._TABLE_CACHE
-
-
-def test_tabulate_cache_identity():
-    geom = TreeGeometry(2, 12)
-    a = tabulate(geom, KernelFamily.heat(), 0.9)
-    b = tabulate(geom, KernelFamily.heat(), 0.9)
-    assert a is b  # write-once cache keyed by (geom, family, t, spec)
-    c = tabulate(geom, KernelFamily.heat(), 0.9, DEFAULT_SPEC)
-    assert c is a
 
 
 def test_radial_convolve_semigroup():

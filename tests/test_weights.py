@@ -292,6 +292,16 @@ def test_weight_spec_validation():
         WeightSpec.from_radial(geom, 2.0, [1.0, -1.0])  # not positive
     with pytest.raises(ValueError):
         WeightSpec.from_closed_form(geom, 2.0, -1.0, 0.0, 0.0)
+    # non-finite weights are refused, not answered with a NaN statistic
+    for c, a, b in [(math.inf, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf),
+                    (math.nan, 0.0, 0.0), (1.0, math.nan, 0.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec.from_closed_form(geom, 2.0, c, a, b)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec.from_radial(geom, 2.0, [1.0, bad, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec.from_table(TreeGeometry(2, 0), 2.0, {(): bad})
 
 
 def test_explicit_table_must_cover_the_ball():
