@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -87,8 +87,8 @@ class KernelFamily:
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
                 raise ValueError("stable family needs alpha in (0, 2)")
         elif self.kind == "wave":
-            if self.nu is None or not self.nu > 0.0:
-                raise ValueError("wave family needs nu > 0")
+            if self.nu is None or not 0.0 < self.nu < math.inf:
+                raise ValueError("wave family needs a finite nu > 0")
         else:
             raise ValueError(f"unknown kernel family {self.kind!r}")
 
@@ -161,12 +161,11 @@ class _WalkTable:
     Rows follow the recursion
         v_{n+1}(0) = v_n(1) (q+1)/(2 sqrt q),
         v_{n+1}(j) = (v_n(j-1) + q v_n(j+1)) / (2 sqrt q),
-    run on a state wider than the stored columns. A walk bridge ending at
-    distance j <= J after n steps reaches J + 10 sqrt(n) with probability
-    below e^{-200}, so a state of that width gives the bits of the untruncated
-    recursion, whatever widths earlier builds used. The table is built on
-    first use. Rows extend from the kept state; more columns (in steps of 32)
-    rebuild it, out to the rows that call needs.
+    run on the whole row: a walk of n steps stays within distance n, so a
+    state of n + 1 entries (or the stored columns, if more) is exact, and a
+    row has the same bits however the table was grown. Rows extend from the
+    kept state; more columns (in steps of 32) rebuild the table, out to the
+    rows that call needs.
     """
 
     def __init__(self, q: int):
@@ -174,25 +173,16 @@ class _WalkTable:
         self.v = np.zeros((0, 0))
         self.c = np.zeros(0)
         self.rows = 0
-        self.state = None
-        # every row a time up to s_cut asks for (see _heat_sums); the state
-        # width covers them, so rows never outgrow it
-        mu = _time_cutoff(q) * _walk_decay(q)
-        self.row_plan = int(mu + 12.0 * math.sqrt(mu) + 82.0) if q > 1 else 0
+        self.state = np.zeros(0)
         self.lock = threading.Lock()
 
     def get(self, n_max: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
         """(v, c) with at least rows 0..n_max and columns 0..j_max."""
         with self.lock:
-            if j_max >= self.v.shape[1] or n_max >= self.row_plan:
-                self.row_plan = max(2 * self.row_plan, n_max + 1)
-                cols = max(self.v.shape[1], 32 * (j_max // 32 + 1))
-                width = cols + int(math.ceil(10.0 * math.sqrt(self.row_plan))) + 2
-                self.state = np.zeros(width)
-                self.state[0] = 1.0
-                self.v = np.empty((64, cols))
-                self.v[0] = self.state[:cols]
-                self.rows = 1
+            if j_max >= self.v.shape[1]:
+                self.v = np.zeros((64, 32 * (j_max // 32 + 1)))
+                self.v[0, 0] = 1.0
+                self.state, self.rows = self.v[0], 1
             if n_max >= self.rows:
                 self._extend(n_max + 1)
             return self.v, self.c
@@ -204,7 +194,9 @@ class _WalkTable:
             self.v = grown
         if rows > len(self.c):
             self.c = _log_stirling(np.arange(len(self.v)))
-        q, cols, u = self.q, self.v.shape[1], self.state
+        q, cols = self.q, self.v.shape[1]
+        u = np.zeros(max(cols, rows + 1))  # wide enough for every row made here
+        u[: len(self.state)] = self.state
         d = 2.0 * math.sqrt(q)
         c0 = (q + 1.0) / d
         for n in range(self.rows, rows):
@@ -218,15 +210,9 @@ class _WalkTable:
         self.rows = rows
 
 
-_WALK_TABLES: dict = {}
-_WALK_TABLES_LOCK = threading.Lock()
-
-
+@cache
 def _walk_table(q: int) -> _WalkTable:
-    with _WALK_TABLES_LOCK:
-        if q not in _WALK_TABLES:
-            _WALK_TABLES[q] = _WalkTable(q)
-        return _WALK_TABLES[q]
+    return _WalkTable(q)
 
 
 def _heat_sums(q: int, k: np.ndarray, s: np.ndarray):
@@ -306,9 +292,10 @@ def heat_kernel_many(q: int, k, s, spec: QuadratureSpec = DEFAULT_SPEC):
 _BLOCK = 256  # weights are made and summed this many rows at a time
 
 
-def _stable_weights(alpha: float, ts: np.ndarray, rho: float):
-    """Blocks W[i, n] = w_n rho^n for P_t^alpha at every t = ts[i], each with
-    a bound on the relative error of every weight; the stream is endless.
+def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK):
+    """Blocks W[i, n] of `rows` weights W_n = w_n rho^n for P_t^alpha at every
+    t = ts[i], each with a bound on the relative error of every weight; the
+    stream is endless.
 
     The W_n are the Taylor coefficients of exp(-t (1 - rho z)^beta), beta =
     alpha/2. With c_m = -t (-1)^m binom(beta, m) > 0 for m >= 1,
@@ -316,10 +303,11 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float):
     a sum of positive terms. The recurrence runs on e_n = W_n e^t from e_0 = 1,
     since e^{-t} is subnormal at t = 720 and 0 at t = 800. Every 8 steps a row
     whose newest entry has passed 2^256 is scaled by 2^-256, exactly (an entry
-    is below 3t/n times the largest before it), and each W_n keeps the scale it
-    was made at. Each time's row of e is stored newest first, so each step is
-    numpy's pairwise sum of one contiguous row of products: a weight has the
-    same bits alone and in any batch, however far the stream is read.
+    is below 3t/n times the largest before it), and each W_n is written as it
+    is made, at the scale of the moment. Each time's row of e is stored newest
+    first, so each step is numpy's pairwise sum of one contiguous row of
+    products: a weight has the same bits alone and in any batch, however far
+    the stream is read and in blocks of any length.
 
     Rounding, to first order: a_m = m c_m rho^m is good to (4m + 2) eps; a
     product, numpy's pairwise sum of n terms (at most log2 n + 26 roundings)
@@ -329,40 +317,33 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float):
     beta = 0.5 * alpha
     exp2 = [math.ceil(t / _LN2) for t in ts.tolist()]
     g = np.array([math.exp(x * _LN2 - t) for x, t in zip(exp2, ts.tolist())])  # e^-t = g 2^-exp2
-    exp2 = np.array(exp2, dtype=np.int64)
+    scale = -np.array(exp2, dtype=np.int64)  # W_n = e_n g 2^scale, with the rescales made so far
     neg_t = -ts[:, None]
     # e_j sits at er[:, cap - 1 - j], so e_{i-1}, ..., e_0 is er[:, cap - i:]
     a = er = np.zeros((len(ts), 0))
     cap = n = 0
-    shift = np.zeros(len(ts), dtype=np.int64)
     while True:
-        hi = n + _BLOCK
+        hi = n + rows
         if hi > cap:
             m = np.arange(1.0, 2 * hi)
             a = neg_t * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[:, m-1] = m c_m rho^m
             grown = np.empty((len(ts), 2 * hi))
             grown[:, 2 * hi - n :] = er[:, cap - n :]
             er, cap = grown, 2 * hi
-        rec = np.empty((len(ts), _BLOCK))  # entries of this block made before a rescale
-        kept = np.full(len(ts), n)  # e_j for n <= j < kept[i] are in rec[i]
-        shifts = np.repeat(shift[:, None], _BLOCK, axis=1)
+        w = np.empty((len(ts), rows))
         for i in range(n, hi):
             col = cap - 1 - i
             if not i:
                 er[:, col] = 1.0
-                continue
-            v = np.divide(np.add.reduce(a[:, :i] * er[:, col + 1 :], 1), i, out=er[:, col])
-            if i % 8 == 0 and v.max() > 2.0**256:
-                for r in np.flatnonzero(v > 2.0**256):
-                    rec[r, kept[r] - n : i - n] = er[r, col + 1 : cap - kept[r]][::-1]
-                    kept[r] = i
-                    er[r, col:] = np.ldexp(er[r, col:], -256)
-                    shift[r] += 256
-                    shifts[r, i - n :] += 256
-        rows = np.arange(n, hi)
-        rec = np.where(rows >= kept[:, None], er[:, cap - hi : cap - n][:, ::-1], rec)
-        err = ((np.log2(rows + 1.0) + 34.0) * rows + ts[:, None] + 2.0) * _EPS
-        yield np.ldexp(rec * g[:, None], shifts - exp2[:, None]), err
+            else:
+                v = np.divide(np.add.reduce(a[:, :i] * er[:, col + 1 :], 1), i, out=er[:, col])
+                if i % 8 == 0 and v.max() > 2.0**256:
+                    big = v > 2.0**256
+                    er[big, col:] = np.ldexp(er[big, col:], -256)
+                    scale[big] += 256
+            np.ldexp(er[:, col] * g, scale, out=w[:, i - n])
+        made = np.arange(n, hi)
+        yield w, ((np.log2(made + 1.0) + 34.0) * made + ts[:, None] + 2.0) * _EPS
         n = hi
 
 
@@ -376,10 +357,10 @@ def _log_kve(v: float, x: float) -> float:
     return math.log(val)
 
 
-def _wave_weights(nu: float, t: float, rho: float):
-    """Blocks of W_n = 2 (t/2)^{nu+n} K_{n-nu}(t) rho^n / (n! Gamma(nu)) for
-    T_t^nu, each with a bound on the relative error of every weight; the
-    stream is endless.
+def _wave_weights(nu: float, t: float, rho: float, rows: int = _BLOCK):
+    """Blocks of `rows` weights W_n = 2 (t/2)^{nu+n} K_{n-nu}(t) rho^n /
+    (n! Gamma(nu)) for T_t^nu, each with a bound on the relative error of every
+    weight; the stream is endless.
 
     W_n = W_{n-1} (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t):
     from kve while n <= ceil(nu), then r_{n+1} = 1/r_n + 2(n - nu)/t, the
@@ -400,10 +381,10 @@ def _wave_weights(nu: float, t: float, rho: float):
     r = rerr = 0.0
     n = 0
     while True:
-        mants = np.empty(_BLOCK)
-        exps = np.empty(_BLOCK, dtype=np.int64)
-        err = np.empty(_BLOCK)
-        for i in range(_BLOCK):
+        mants = np.empty(rows)
+        exps = np.empty(rows, dtype=np.int64)
+        err = np.empty(rows)
+        for i in range(rows):
             if n:
                 if n <= n0:
                     r = math.exp(log_k[n] - log_k[n - 1])
@@ -756,12 +737,10 @@ def _mass_beyond(family: KernelFamily, t: float, r: int) -> float:
     if r * _LN2 + float(_log_multiplier(family, ts, 0.5)[0]) < math.log(_EPS):
         return 1.0
     if family.kind == "stable":
-        stream = _stable_weights(family.alpha, ts, 1.0)
+        w, err = next(_stable_weights(family.alpha, ts, 1.0, r + 1))
     else:
-        stream = _wave_weights(family.nu, t, 1.0)
-    blocks = [next(stream) for _ in range(r // _BLOCK + 1)]
-    w = np.concatenate([np.ravel(b) for b, _ in blocks])[: r + 1]
-    err = np.concatenate([np.ravel(e) for _, e in blocks])[: r + 1]
+        w, err = next(_wave_weights(family.nu, t, 1.0, r + 1))
+    w, err = w.ravel(), err.ravel()
     head = math.fsum(w.tolist())
     return min(1.0, max(0.0, 1.0 - head) + float(w @ err) + (r + 2) * _EPS)
 

@@ -50,8 +50,10 @@ class QuadratureSpec:
     tail_cut_factor: float = 1e-3
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError(
+                f"tolerances must be finite and positive, got abs_tol={self.abs_tol}, "
+                f"rel_tol={self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

@@ -3,17 +3,18 @@
 Each check turns one analytic statement about the kernels, operators, or
 weights into a banded numerical test over a recorded parameter grid and
 produces a VerificationReport. Two-sided comparison statements are verified
-as bounded ratio bands (default max/min <= 100), not against specific
-constants. Reports are deterministic: given the same configuration the
+as bounded ratio bands (max/min <= 100), not against specific constants.
+Reports are deterministic: given the same configuration the
 serialized output is bitwise identical (timing is kept on the report object
 but never serialized).
 
 Each check is registered with its default parameters, which a run's config
-overrides. The comparison checks read one kernel block per (q, family) through
-_compare and never call the kernels one value at a time. Those whose values
-fall far below the spec's absolute floor run under _floored(spec): the same
-spec with its absolute tolerance at the smallest normal float, so that every
-value is certified to rel_tol relative to itself.
+overrides, and with a fixed threshold, which it cannot. The comparison checks
+read one kernel block per (q, family) through _compare and never call the
+kernels one value at a time. Those whose values fall far below the spec's
+absolute floor run under _floored(spec): the same spec with its absolute
+tolerance at the smallest normal float, so that every value is certified to
+rel_tol relative to itself.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ def _plain(obj):
 _CHECKS: dict = {}
 
 
-def _check(check_id: str, **defaults):
-    """Register a check under check_id. It is called with the spec and a
-    namespace of its parameters: these defaults, overridden by the config."""
+def _check(check_id: str, threshold: float, **defaults):
+    """Register a check under check_id with its fixed threshold. It is called
+    with the spec and a namespace of its parameters (these defaults,
+    overridden by the config) and of the threshold, and returns the grid, the
+    measured values, whether it passed and its rows."""
 
     def register(fn):
-        _CHECKS[check_id] = (fn, defaults)
+        _CHECKS[check_id] = (fn, threshold, defaults)
         return fn
 
     return register
@@ -145,8 +148,7 @@ def _bands(runs) -> dict:
 _THREE_FAMILIES = (KernelFamily.heat(), KernelFamily.stable(1.0), KernelFamily.wave(0.75))
 
 
-@_check("stochasticity", qs=(1, 2, 3), ts=(0.1, 0.5, 1.0), families=_THREE_FAMILIES,
-        threshold=1e-8)
+@_check("stochasticity", 1e-8, qs=(1, 2, 3), ts=(0.1, 0.5, 1.0), families=_THREE_FAMILIES)
 def _check_stochasticity(spec, c):
     rows = []
     worst = 0.0
@@ -175,11 +177,10 @@ def _check_stochasticity(spec, c):
         "families": [f.label() for f in c.families],
         "radius": "60 (q=1) / 40",
     }
-    return grid, {"max_mass_excess": worst}, c.threshold, worst <= c.threshold, rows
+    return grid, {"max_mass_excess": worst}, worst <= c.threshold, rows
 
 
-@_check("semigroup-law", qs=(1, 2), pairs=((0.4, 0.35), (0.25, 0.75)), kmax=8, radius=30,
-        threshold=1e-7)
+@_check("semigroup-law", 1e-7, qs=(1, 2), pairs=((0.4, 0.35), (0.25, 0.75)), kmax=8, radius=30)
 def _check_semigroup_law(spec, c):
     rows = []
     worst = 0.0
@@ -197,11 +198,10 @@ def _check_semigroup_law(spec, c):
                 )
     grid = {"qs": list(c.qs), "pairs": [list(p) for p in c.pairs], "kmax": c.kmax,
             "truncation_radius": c.radius}
-    return grid, {"max_abs_residual": worst}, c.threshold, worst <= c.threshold, rows
+    return grid, {"max_abs_residual": worst}, worst <= c.threshold, rows
 
 
-@_check("initial-data", q=2, families=_THREE_FAMILIES, js=tuple(range(3, 13)), seed=7,
-        threshold=1e-3)
+@_check("initial-data", 1e-3, q=2, families=_THREE_FAMILIES, js=tuple(range(3, 13)), seed=7)
 def _check_initial_data(spec, c):
     geom = TreeGeometry(c.q, 3)
     rng = np.random.default_rng(c.seed)
@@ -230,7 +230,7 @@ def _check_initial_data(spec, c):
             passed = passed and monotone and final_ok
     grid = {"q": c.q, "families": [f.label() for f in c.families],
             "dyadic_j": list(c.js), "datasets": list(datasets)}
-    return grid, {"max_final_gap": worst_final}, c.threshold, passed, rows
+    return grid, {"max_final_gap": worst_final}, passed, rows
 
 
 def _stable_profile(q: int, alpha: float):
@@ -238,8 +238,7 @@ def _stable_profile(q: int, alpha: float):
     return lambda t, k: t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
 
 
-@_check("A1-band", qs=(2, 3), alphas=(0.5, 1.0, 1.5), ts=(0.05, 0.2, 0.8), kmax=30,
-        threshold=100.0)
+@_check("A1-band", 100.0, qs=(2, 3), alphas=(0.5, 1.0, 1.5), ts=(0.05, 0.2, 0.8), kmax=30)
 def _check_a1_band(spec, c):
     runs = []
     for q in c.qs:
@@ -253,10 +252,10 @@ def _check_a1_band(spec, c):
     grid = {"qs": list(c.qs), "alphas": list(c.alphas), "ts": list(c.ts),
             "k_range": f"ceil(t^(2/alpha))+1 .. {c.kmax}"}
     rows = [row for run in runs for row in run]
-    return grid, band, c.threshold, band["max_spread_per_parameter"] <= c.threshold, rows
+    return grid, band, band["max_spread_per_parameter"] <= c.threshold, rows
 
 
-@_check("phi0-band", q=2, alpha=1.0, t=0.2, kmax=20)
+@_check("phi0-band", math.inf, q=2, alpha=1.0, t=0.2, kmax=20)
 def _check_phi0_band(spec, c):
     # the spherical function enters only through the two-sided comparison
     # phi0(k) ~ (k+1) q^{-k/2}; with no exact phi0 available, this check is
@@ -267,12 +266,11 @@ def _check_phi0_band(spec, c):
     band = _band(rows)
     band["report_only"] = True
     grid = {"q": c.q, "alpha": c.alpha, "t": c.t, "kmax": c.kmax}
-    return grid, band, math.inf, True, rows
+    return grid, band, True, rows
 
 
-@_check("eta-domination", alphas=(0.5, 1.0, 1.5), a=0.25, b=1.0,
-        us=tuple(np.geomspace(1e-4, 1e4, 81)), ts=tuple(np.linspace(0.25, 1.0, 7)),
-        threshold=1e8)
+@_check("eta-domination", 1e8, alphas=(0.5, 1.0, 1.5), a=0.25, b=1.0,
+        us=tuple(np.geomspace(1e-4, 1e4, 81)), ts=tuple(np.linspace(0.25, 1.0, 7)))
 def _check_eta_domination(spec, c):
     rows = []
     consts = {}
@@ -286,10 +284,10 @@ def _check_eta_domination(spec, c):
     grid = {"alphas": list(c.alphas), "a": c.a, "b": c.b,
             "u_grid": "81 log points in [1e-4, 1e4]",
             "t_grid": "7 points in [0.25, 1]"}
-    return grid, consts, c.threshold, worst <= c.threshold, rows
+    return grid, consts, worst <= c.threshold, rows
 
 
-@_check("prop-est-a", qs=(2, 3), nu=2.5, ts=(0.25, 0.5, 1.0, 2.0), threshold=1e3)
+@_check("prop-est-a", 1e3, qs=(2, 3), nu=2.5, ts=(0.25, 0.5, 1.0, 2.0))
 def _check_prop_est_a(spec, c):
     rows = []
     for q in c.qs:
@@ -300,10 +298,10 @@ def _check_prop_est_a(spec, c):
     worst = max([0.0, *(row["ratio"] for row in rows)])
     grid = {"qs": list(c.qs), "nu": c.nu, "ts": list(c.ts),
             "k_range": f"0 .. {int(math.ceil(c.nu)) - 1}"}
-    return grid, {"max_ratio": worst}, c.threshold, worst <= c.threshold, rows
+    return grid, {"max_ratio": worst}, worst <= c.threshold, rows
 
 
-@_check("prop-est-bc", qs=(2, 3), nus=(0.5, 1.0), ts=(0.1, 0.5, 0.9), kmax=25, threshold=100.0)
+@_check("prop-est-bc", 100.0, qs=(2, 3), nus=(0.5, 1.0), ts=(0.1, 0.5, 0.9), kmax=25)
 def _check_prop_est_bc(spec, c):
     runs = [
         _compare(q, KernelFamily.wave(nu), c.ts,
@@ -317,11 +315,10 @@ def _check_prop_est_bc(spec, c):
     grid = {"qs": list(c.qs), "nus": list(c.nus), "ts": list(c.ts),
             "k_range": f"ceil(nu)+1 .. {c.kmax}"}
     rows = [row for run in runs for row in run]
-    return grid, band, c.threshold, band["max_spread_per_parameter"] <= c.threshold, rows
+    return grid, band, band["max_spread_per_parameter"] <= c.threshold, rows
 
 
-@_check("prop-est-d", q=2, nus=(0.5, 1.0, 2.0), ts=tuple(np.linspace(0.05, 0.95, 10)),
-        threshold=100.0)
+@_check("prop-est-d", 100.0, q=2, nus=(0.5, 1.0, 2.0), ts=tuple(np.linspace(0.05, 0.95, 10)))
 def _check_prop_est_d(spec, c):
     rows = []
     for nu in c.nus:  # the band of T_t^nu(0) itself
@@ -329,10 +326,10 @@ def _check_prop_est_d(spec, c):
                          lambda t, k, value: value, spec, nu=nu)
     band = _band(rows)
     grid = {"q": c.q, "nus": list(c.nus), "t_grid": "10 points in [0.05, 0.95]"}
-    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
+    return grid, band, band["spread"] <= c.threshold, rows
 
 
-@_check("T-half-equals-P-one", qs=(1, 2), ts=(0.3, 0.7), kmax=15, threshold=1e-8)
+@_check("T-half-equals-P-one", 1e-8, qs=(1, 2), ts=(0.3, 0.7), kmax=15)
 def _check_t_half_equals_p_one(spec, c):
     rows = []
     for q in c.qs:
@@ -342,10 +339,10 @@ def _check_t_half_equals_p_one(spec, c):
                  for t, Tt, Pt in zip(c.ts, T, P) for k, (tv, pv) in enumerate(zip(Tt, Pt))]
     worst = max([0.0, *(row["diff"] for row in rows)])
     grid = {"qs": list(c.qs), "ts": list(c.ts), "kmax": c.kmax}
-    return grid, {"max_abs_diff": worst}, c.threshold, worst <= c.threshold, rows
+    return grid, {"max_abs_diff": worst}, worst <= c.threshold, rows
 
 
-@_check("heat-domination", qs=(2, 3), Rs=(0.5, 1.0), kmax=25, n_t=12, threshold=1e3)
+@_check("heat-domination", 1e3, qs=(2, 3), Rs=(0.5, 1.0), kmax=25, n_t=12)
 def _check_heat_domination(spec, c):
     rows = []
     for q in c.qs:
@@ -358,7 +355,7 @@ def _check_heat_domination(spec, c):
     worst = max([0.0, *(row["ratio"] for row in rows)])
     grid = {"qs": list(c.qs), "Rs": list(c.Rs), "kmax": c.kmax,
             "t_grid": f"{c.n_t} log points in (0, R)"}
-    return grid, {"sup_ratio": worst}, c.threshold, worst <= c.threshold, rows
+    return grid, {"sup_ratio": worst}, worst <= c.threshold, rows
 
 
 def _phi(z: float) -> float:
@@ -372,15 +369,15 @@ def _z_ratio(t: float, k: int, h: float):
     return math.exp(math.log(h) + 0.5 * math.log(1.0 + k + t) + t * (1.0 + _phi(k / t)))
 
 
-@_check("Z-profile", ts=tuple(np.geomspace(0.1, 10.0, 13)), kmax=40, threshold=100.0)
+@_check("Z-profile", 100.0, ts=tuple(np.geomspace(0.1, 10.0, 13)), kmax=40)
 def _check_z_profile(spec, c):
     rows = _compare(1, KernelFamily.heat(), c.ts, lambda t: range(c.kmax + 1), _z_ratio, spec)
     band = _band(rows)
     grid = {"t_grid": "13 log points in [0.1, 10]", "kmax": c.kmax}
-    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
+    return grid, band, band["spread"] <= c.threshold, rows
 
 
-@_check("prop2-band", alphas=(0.5, 1.0, 1.5), ts=(0.1, 0.5, 0.9), kmax=25, threshold=100.0)
+@_check("prop2-band", 100.0, alphas=(0.5, 1.0, 1.5), ts=(0.1, 0.5, 0.9), kmax=25)
 def _check_prop2_band(spec, c):
     rows = []
     for alpha in c.alphas:
@@ -389,10 +386,10 @@ def _check_prop2_band(spec, c):
                          alpha=alpha)
     band = _band(rows)
     grid = {"q": 1, "alphas": list(c.alphas), "ts": list(c.ts), "kmax": c.kmax}
-    return grid, band, c.threshold, band["spread"] <= c.threshold, rows
+    return grid, band, band["spread"] <= c.threshold, rows
 
 
-@_check("flow-conjugation", qs=(2, 4), t=0.5, hs=(1e-2, 5e-3), threshold=1.8)
+@_check("flow-conjugation", 1.8, qs=(2, 4), t=0.5, hs=(1e-2, 5e-3))
 def _check_flow_conjugation(spec, c):
     rows = []
     min_order = math.inf
@@ -409,11 +406,11 @@ def _check_flow_conjugation(spec, c):
         rows.append({"q": q, "b": b, "residuals": res, "order": order})
     grid = {"qs": list(c.qs), "t": c.t, "hs": list(c.hs)}
     measured = {"min_order": min_order, "b_values_exact": b_exact}
-    return grid, measured, c.threshold, min_order >= c.threshold and b_exact, rows
+    return grid, measured, min_order >= c.threshold and b_exact, rows
 
 
-@_check("weights-roundtrip", q=2, p=2.0, alpha=1.0, R=1.0, n_funcs=50, x_radius=10,
-        f_radius=4, seed=11, threshold=1e6)
+@_check("weights-roundtrip", 1e6, q=2, p=2.0, alpha=1.0, R=1.0, n_funcs=50, x_radius=10,
+        f_radius=4, seed=11)
 def _check_weights_roundtrip(spec, c):
     q, p = c.q, c.p
     rng = np.random.default_rng(c.seed)
@@ -448,11 +445,11 @@ def _check_weights_roundtrip(spec, c):
         "x_radius": c.x_radius, "f_radius": c.f_radius,
         "grid": "64 log points in (R*1e-4, R*(1-1e-9))", "seed": c.seed,
     }
-    return grid, {"max_operator_ratio": max_ratio}, c.threshold, max_ratio <= c.threshold, rows
+    return grid, {"max_operator_ratio": max_ratio}, max_ratio <= c.threshold, rows
 
 
 ALL_CHECKS = tuple(_CHECKS)
-CHECK_PARAMETERS = {cid: tuple(defaults) for cid, (_, defaults) in _CHECKS.items()}
+CHECK_PARAMETERS = {cid: tuple(defaults) for cid, (_, _, defaults) in _CHECKS.items()}
 
 
 def run_check(
@@ -461,7 +458,8 @@ def run_check(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
     """Run one check; numerical failures produce a failed report, not a crash.
-    A config key that is not one of the check's parameters is a ValueError."""
+    A config key that is not one of the check's parameters (the threshold is
+    not one) is a ValueError."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(ALL_CHECKS)}")
     cfg = config or {}
@@ -469,20 +467,14 @@ def run_check(
     if unknown:
         raise ValueError(f"unknown parameter {', '.join(map(repr, unknown))} for check "
                          f"{check_id!r}; its parameters: {', '.join(CHECK_PARAMETERS[check_id])}")
+    check, threshold, defaults = _CHECKS[check_id]
     start = time.monotonic()
     try:
-        check, defaults = _CHECKS[check_id]
-        params = SimpleNamespace(**{**defaults, **cfg})
-        grid, measured, threshold, passed, rows = check(spec, params)
+        params = SimpleNamespace(**{**defaults, **cfg}, threshold=threshold)
+        grid, measured, passed, rows = check(spec, params)
         err = None
     except NumericalError as exc:
-        grid, measured, threshold, passed, rows = (
-            {"config": {k: repr(v) for k, v in cfg.items()}},
-            {},
-            math.nan,
-            False,
-            [],
-        )
+        grid, measured, passed, rows = {"config": {k: repr(v) for k, v in cfg.items()}}, {}, False, []
         err = str(exc)
     ms = int((time.monotonic() - start) * 1000.0)
     return VerificationReport(check_id, grid, measured, threshold, passed, ms, err, rows)

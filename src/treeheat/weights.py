@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .geometry import (
     ROOT,
     TreeGeometry,
@@ -85,8 +84,8 @@ class WeightSpec:
         reps = sum(x is not None for x in (self.closed_form, self.radial, self.table))
         if reps != 1:
             raise ValueError("exactly one weight representation must be given")
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if self.radial is not None:
             if len(self.radial) != self.geom.radius + 1:
                 raise ValueError("radial weight length must be radius + 1")
@@ -229,31 +228,33 @@ def _closed_form_series_verdict(u: WeightSpec, e: float):
 
 
 def _closed_form_tail(u: WeightSpec, gamma: float, delta: float) -> float:
-    """Certified tail of the closed-form series beyond the ball radius."""
+    """Certified tail sum_{j >= k} t_j of the closed-form series beyond the
+    ball radius, k = radius + 1, t_j = C q^(gamma j) (1+j)^delta.
+
+    The term ratio t_{j+1}/t_j = q^gamma (1 + 1/(1+j))^delta is at most
+    q^gamma for delta <= 0, so the tail is below t_k/(1 - q^gamma). For
+    delta > 0 the ratio falls with j and is at most q^(gamma/2) from
+    m = ceil(1/expm1(lam/(2 delta))) on, lam = -gamma ln q; each of the m - k
+    terms before is below the largest t_x over real x, at x = delta/lam - 1
+    (ln t_x is concave). For gamma = 0, delta < -1, the terms fall and the
+    tail is below t_k + int_k^inf t_x dx. Each t_x is raised by the rounding
+    of its log.
+    """
     q = float(u.geom.q)
-    p = u.p
-    pp = p / (p - 1.0)
-    cf = u.closed_form
-    coeff = (q + 1.0) / q * cf.c ** (-pp / p)
+    log_c = math.log((q + 1.0) / q) - math.log(u.closed_form.c) / (u.p - 1.0)
+    lam = -gamma * math.log(q)
+
+    def term(x):
+        parts = (log_c, -lam * x, delta * math.log1p(x))
+        return math.exp(math.fsum(parts) + 4.0 * _EPS * (sum(map(abs, parts)) + 4.0))
+
     k = u.geom.radius + 1
-    if gamma < 0.0:
-        rho = q**gamma
-
-        def term(kk):
-            return coeff * q ** (gamma * kk) * (1.0 + kk) ** delta
-
-        # extend until the per-step ratio comfortably certifies a geometric tail
-        total = 0.0
-        while True:
-            r_k = rho * (1.0 + 1.0 / (1.0 + k)) ** max(delta, 0.0)
-            if r_k < 0.99:
-                return total + term(k) / (1.0 - r_k)
-            total += term(k)
-            k += 1
-            if k > u.geom.radius + 100_000:
-                raise NumericalError("tail certification did not stabilize")
-    # gamma == 0, delta < -1: integral comparison sum_{j>=k} j^delta
-    return coeff * (1.0 + k) ** (delta + 1.0) / (-(delta + 1.0))
+    if gamma == 0.0:
+        return term(k) * (1.0 + (1.0 + k) / (-(delta + 1.0)))
+    if delta <= 0.0:
+        return term(k) / -math.expm1(-lam)
+    m = max(k, math.ceil(1.0 / math.expm1(lam / (2.0 * delta))))
+    return (m - k) * term(max(k, delta / lam - 1.0)) + term(m) / -math.expm1(-0.5 * lam)
 
 
 def _table_series_verdict(
@@ -351,8 +352,8 @@ def check_thm1_i(u: WeightSpec, alpha: float, x=ROOT) -> AdmissibilityVerdict:
 
 def check_thm2_i(u: WeightSpec, nu: float, x=ROOT) -> AdmissibilityVerdict:
     """Admissibility for the wave-type maximal operator (exponent nu+1)."""
-    if not nu > 0.0:
-        raise ValueError(f"nu must be > 0, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be finite and > 0, got {nu}")
     e = nu + 1.0
     params = {"nu": nu, "weight": u.label()}
     return _check(u, x, _power_profile(u.geom, e), "Thm2-i", params, e)

@@ -263,7 +263,6 @@ def test_bad_function_rows_exit_one(tmp_path, capsys, command, rows, message):
 
 
 def test_numerical_failure_exit_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TREEHEAT_MAX_SUBDIVISIONS", "1")
     monkeypatch.setenv("TREEHEAT_ABS_TOL", "1e-300")
     monkeypatch.setenv("TREEHEAT_REL_TOL", "1e-16")
     code = main(
@@ -275,10 +274,51 @@ def test_numerical_failure_exit_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()  # nothing partial was written
 
 
+@pytest.mark.parametrize("var,value", [("TREEHEAT_REL_TOL", "nan"), ("TREEHEAT_REL_TOL", "inf"),
+                                       ("TREEHEAT_ABS_TOL", "nan"), ("TREEHEAT_ABS_TOL", "inf")])
+def test_non_finite_tolerance_exit_one(tmp_path, monkeypatch, capsys, var, value):
+    # a NaN tolerance never ends a sum, an infinite one certifies anything
+    monkeypatch.setenv(var, value)
+    out = tmp_path / "x.csv"
+    args = ["kernel", "--q", "2", "--family", "stable", "--alpha", "1", "--t", "1",
+            "--radius", "3", "--out", str(out)]
+    assert main(args) == 1
+    assert "usage error: tolerances must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(["kernel", "--q", "2", "--family", "wave", "--nu", "inf", "--t", "1"],
+      "wave family needs a finite nu"),
+     (["weights", "--q", "2", "--p", "inf", "--condition", "thm1-i", "--alpha", "1",
+       "--weight", "q^(-1*k)"], "p must be finite"),
+     (["weights", "--q", "2", "--p", "2", "--condition", "thm2-i", "--nu", "inf",
+       "--weight", "q^(-1*k)"], "nu must be finite")],
+)
+def test_non_finite_parameter_exit_one(tmp_path, capsys, args, message):
+    # these ran to a traceback, or printed "partial": NaN as admissible
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slow_geometric_tail_is_certified(tmp_path):
+    # q^gamma = 2^-0.001 per step: the tail is summed in closed form, not
+    # stepped out until the term ratio falls below a fixed cut
+    out = tmp_path / "v.json"
+    code = main(["weights", "--q", "2", "--p", "2", "--condition", "thm1-i", "--alpha", "1",
+                 "--weight", "q^(-0.999*k)", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["verdict"] == "admissible"
+    assert 1.44e-5 <= record["tail"] < 1e-3  # mpmath: 1.438e-5 past radius 200
+
+
 def test_quadrature_env_overrides():
     spec = quadrature_from_env(
-        {"TREEHEAT_ABS_TOL": "1e-6", "TREEHEAT_REL_TOL": "1e-5",
-         "TREEHEAT_MAX_SUBDIVISIONS": "77"}
+        {"TREEHEAT_ABS_TOL": "1e-6", "TREEHEAT_REL_TOL": "1e-5"}
     )
     assert spec.abs_tol == 1e-6
     assert spec.rel_tol == 1e-5

@@ -315,6 +315,45 @@ def test_walk_table_below_ground_spherical_function(q):
     assert np.all(v[:3001, :61].max(axis=0) <= phi0)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_walk_table_rows_do_not_depend_on_how_it_grew(q):
+    # each row is run on its whole width, so neither the steps a table grew
+    # in, nor the columns it keeps, nor a rebuild for more columns moves a bit
+    one = kernels._WalkTable(q).get(2000, 200)[0][:2001, :201]
+    steps = kernels._WalkTable(q)
+    for n in range(0, 2001, 7):
+        steps.get(n, 200)
+    rebuilt = kernels._WalkTable(q)
+    narrow = rebuilt.get(2000, 40)[0][:2001, :41].copy()
+    assert np.array_equal(narrow, one[:, :41])
+    for table in (steps.get(2000, 200)[0], rebuilt.get(2000, 200)[0]):
+        assert np.array_equal(table[:2001, :201], one)
+
+
+@pytest.mark.parametrize(
+    "family", [KernelFamily.stable(0.3), KernelFamily.stable(1.9),
+               KernelFamily.wave(0.75), KernelFamily.wave(2.5)],
+)
+def test_mass_beyond_reads_r_plus_one_weights(family):
+    # a stream of r + 1 weights has the bits of the first r + 1 of 256-weight
+    # blocks, and so does the bound made from them
+    def stream(t, rows):
+        if family.kind == "stable":
+            return kernels._stable_weights(family.alpha, np.array([t]), 1.0, rows)
+        return kernels._wave_weights(family.nu, t, 1.0, rows)
+
+    for t in (0.5, 3.0, 30.0):
+        for r in (0, 12, 255, 256, 600):
+            blocks = stream(t, 256)
+            full = [next(blocks) for _ in range(r // 256 + 1)]
+            w, err = (np.concatenate([np.ravel(b[i]) for b in full])[: r + 1] for i in (0, 1))
+            short = [np.ravel(x) for x in next(stream(t, r + 1))]
+            assert np.array_equal(short[0], w) and np.array_equal(short[1], err)
+            head = math.fsum(w.tolist())
+            bound = min(1.0, max(0.0, 1.0 - head) + float(w @ err) + (r + 2) * kernels._EPS)
+            assert kernels._mass_beyond(family, t, r) == bound, (t, r)
+
+
 def fourier_stable_line(alpha, t, k):
     """P_t^alpha(k) on the line, (1/pi) int_0^pi exp(-t (1 - cos th)^{alpha/2})
     cos(k th) dth, by mpmath at 40 digits (1 - cos th = 2 sin^2(th/2))."""

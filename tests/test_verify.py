@@ -39,8 +39,15 @@ def test_all_fifteen_checks_registered():
 
 def test_misspelt_parameter_rejected():
     # a misspelt key must not run the default (kmax 40, 533 rows) silently
-    with pytest.raises(ValueError, match=r"'kmx'.*Z-profile.*ts, kmax, threshold"):
+    with pytest.raises(ValueError, match=r"'kmx'.*Z-profile.*ts, kmax$"):
         run_check("Z-profile", {"kmx": 3})
+
+
+@pytest.mark.parametrize("check_id", ALL_CHECKS)
+def test_threshold_is_not_a_parameter(check_id):
+    # a config cannot loosen a check: its threshold is fixed
+    with pytest.raises(ValueError, match=r"unknown parameter 'threshold'"):
+        run_check(check_id, {"threshold": math.inf})
 
 
 def test_unknown_check_rejected():

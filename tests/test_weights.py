@@ -192,6 +192,32 @@ def test_series_statistic_does_not_overflow():
         assert v.statistic == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "q,p,c,a,b,alpha,radius",
+    [(2, 2.0, 1.0, -0.999, 0.0, 1.0, 200),  # gamma = -0.001, delta = -3
+     (2, 2.0, 1.0, -0.999, -8.0, 1.0, 200),  # delta = 5: the terms grow first
+     (2, 2.0, 1.0, -0.9999, -20.0, 1.0, 10),  # delta = 17, gamma = -1e-4
+     (3, 1.5, 2.0, 0.0, 1.0, 0.5, 20),  # gamma = -2
+     (2, 2.0, 1.0, -1.0, 0.0, 1.5, 200),  # gamma = 0, delta = -3.5
+     (3, 3.0, 2.0, -1.0, 0.0, 1.0, 30)],  # gamma = 0, delta = -2.25
+)
+def test_closed_form_tail_bounds_the_series(q, p, c, a, b, alpha, radius):
+    # the tail past the ball against the series summed by mpmath
+    v = check_thm1_i(WeightSpec.from_closed_form(TreeGeometry(q, radius), p, c, a, b), alpha)
+    assert v.verdict == ADMISSIBLE
+    with mpmath.workdps(30):
+        q_, c_, a_, b_, e = (mpmath.mpf(x) for x in (q, c, a, b, 1.0 + alpha / 2.0))
+        pp = mpmath.mpf(p) / (p - 1.0)
+
+        def term(j):
+            u = c_ * q_ ** (a_ * j) * (1 + j) ** b_
+            return (q_ + 1) * q_ ** (j - 1) * u ** (-pp / p) * (q_**j * (1 + j) ** e) ** -pp
+
+        tail = mpmath.nsum(term, [radius + 1, mpmath.inf], method="euler-maclaurin")
+    assert math.isfinite(v.tail_bound)
+    assert v.tail_bound >= tail
+
+
 def test_radial_sup_never_enumerates_the_ball(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ball enumerated for a radial weight")
