@@ -10,7 +10,7 @@ flow-measure conjugation of the Laplacian; and ships a verification harness
 plus a CLI front end.
 """
 
-from .errors import NumericalError, RangeError
+from .errors import NumericalError
 from .flow import FlowStructure, flow_constant, flow_laplacian, verify_flow_conjugation
 from .geometry import ROOT, TreeGeometry, distance, enumerate_ball, sphere_size
 from .kernels import (
@@ -59,7 +59,6 @@ __all__ = [
     "QuadratureSpec",
     "ROOT",
     "RadialKernel",
-    "RangeError",
     "TreeFunction",
     "TreeGeometry",
     "VerificationReport",

@@ -22,7 +22,7 @@ import re
 import sys
 import tempfile
 
-from .errors import NumericalError, RangeError
+from .errors import NumericalError
 from .flow import FlowStructure, verify_flow_conjugation
 from .geometry import ROOT, TreeGeometry, Word, enumerate_ball
 from .kernels import KernelFamily, tabulate, write_kernel_csv
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, RangeError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -15,7 +15,3 @@ class NumericalError(RuntimeError):
     def __init__(self, message, err_estimate=None):
         super().__init__(message)
         self.err_estimate = err_estimate
-
-
-class RangeError(ValueError):
-    """Argument outside the supported numerical range (e.g. Bessel overflow)."""

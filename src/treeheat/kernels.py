@@ -37,7 +37,11 @@ q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
 form H_s(k) = e^{-s} I_k(s), and the other two families are positive
 mixtures of it, K_t(k) = sum_i w_i H_{c z_i}(k), over the stable density
 (z = y, c = t^{2/alpha}) or the Gamma(nu) density (z = 1/(4v), c = t^2), on
-nodes fixed per alpha or nu (_line_mixture).
+nodes fixed per alpha or nu (_line_mixture). The stable weights come from
+Pollard's series where it certifies them and from Kanter's quadrature in the
+left tail (special.log_y_density). Each time's Bessel matrix runs the
+downward recurrence in segments of 32 orders from two ive seeds above each
+(_bessel_column), so a value does not depend on the largest k asked for.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -483,35 +488,50 @@ def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
     return out
 
 
-def _mixture(edges, weigh, power: float, tail):
+class _Rule(NamedTuple):
+    """A q = 1 family's mixing rule: nodes z, K15 and embedded G7 weights, the
+    error of each weight, the power of t in c = t^power, and tail(c), a bound
+    on the mass cut off at both ends. None depends on t."""
+
+    z: np.ndarray
+    w: np.ndarray
+    gauss: np.ndarray
+    err: np.ndarray
+    power: float
+    tail: Callable[[float], float]
+
+
+def _mixture(edges, weigh, power: float, tail) -> _Rule:
     """A q = 1 family as a positive mixture of heat kernels at many times,
     K_t(k) = sum_i w_i H_{c z_i}(k), c = t^power, H_s(k) = e^{-s} I_k(s), on
     G7/K15 panels in x = ln z between consecutive edges; weigh(x) gives the
-    mixing density in x and its error at the nodes (a row per panel). Returns
-    z, the K15 and the embedded G7 weights, the error of each weight, power
-    and tail(c), a bound on the mass cut off at both ends. None depends on t."""
+    mixing density in x and its error at the nodes (a row per panel)."""
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[:-1, None] + edges[1:, None]) + half * _XK
     density, err = weigh(x)
-    return (np.exp(x).ravel(), (density * half * _WK).ravel(),
-            (density * half * _WG15).ravel(), (err * half * _WK).ravel(), power, tail)
+    return _Rule(np.exp(x).ravel(), (density * half * _WK).ravel(),
+                 (density * half * _WG15).ravel(), (err * half * _WK).ravel(), power, tail)
 
 
 _THIRD_DECADE = math.log(10.0) / 3.0
 _EXP_EDGES = (1.5, 2.5, 4, 6, 9, 13, 18, 25, 35, 50, 70, 100, 150, 230, 350, 500, 700)
+_LN_Y_MAX = 700.0  # extra panels stop here, where e^{ln y} is still finite
 
 
 def _stable_mixture(alpha: float):
     """P_t^alpha on the line, int f_{alpha,1}(y) H_{t^{2/alpha} y}(k) dy, on
-    panels in ln y weighted by Kanter's y f(y) (special.log_y_density).
+    panels in ln y weighted by y f(y) (special.log_y_density).
 
     With beta = alpha/2 and g = beta/(1 - beta), the density of ln y is about
     1/g wide: the panels are 1/(4g) wide at its mode, ln A(pi/2)/g, and grow by
     1.5 up to a third of a decade. Left of the mode it falls like e^{-L}, L =
-    c1 y^-g, so edges also sit at fixed L, out to L = 700. Past the last edge,
-    y_hi >= e^{60/(beta + 1/2)}, the mass is at most H_{c y_hi}(0) P(Y > y_hi),
+    c1 y^-g, so edges also sit at fixed L, out to L = 700. Past the last edge
+    y_hi >= e^{60/(beta + 1/2)} the mass is at most H_{c y_hi}(0) P(Y > y_hi),
     P(Y > y) <= y^-beta/(1 - 1/e) by Markov's inequality on 1 - e^{-Y/y}.
+    That grows like c^{-1/2} as c falls, so for tiny t extend(c, target)
+    gives panels a third of a decade wide past y_hi, until the mass past them
+    is at most target, and the mass past each of them.
     """
     beta = 0.5 * alpha
     g = beta / (1.0 - beta)
@@ -526,13 +546,23 @@ def _stable_mixture(alpha: float):
         edges += [left, right]
         left, right, width = left - width, right + width, min(1.5 * width, _THIRD_DECADE)
     edges = sorted({x for x in edges + [right] if x >= lo - 1e-9})
-    y_lo, y_hi = math.exp(edges[0]), math.exp(edges[-1])
+    left_mass = math.exp(-c1 * math.exp(edges[0]) ** -g)
 
-    def tail(c):
-        return (bessel_i_scaled(0, c * y_hi) * y_hi**-beta / (1.0 - math.exp(-1.0))
-                + math.exp(-c1 * y_lo**-g))
+    def mass_past(x_hi, c):
+        y_hi = math.exp(x_hi)
+        return bessel_i_scaled(0, c * y_hi) * y_hi**-beta / (1.0 - math.exp(-1.0)) + left_mass
 
-    return _mixture(edges, lambda x: log_y_density(alpha, x), 2.0 / alpha, tail)
+    def weigh(x):
+        return log_y_density(alpha, x)
+
+    def extend(c, target):
+        more, tails = [edges[-1]], [mass_past(edges[-1], c)]
+        while tails[-1] > target and more[-1] < _LN_Y_MAX:
+            more.append(more[-1] + _THIRD_DECADE)
+            tails.append(mass_past(more[-1], c))
+        return _mixture(more, weigh, 2.0 / alpha, None), np.array(tails[1:])
+
+    return _mixture(edges, weigh, 2.0 / alpha, lambda c: mass_past(edges[-1], c)), extend
 
 
 def _wave_mixture(nu: float):
@@ -557,36 +587,97 @@ def _wave_mixture(nu: float):
         return bessel_i_scaled(0, c / (4.0 * v_lo)) * gammainc(nu, v_lo) + gammaincc(nu, 800.0)
 
     edges = np.linspace(lo, hi, math.ceil((hi - lo) * max(1.0, math.sqrt(nu) / 1.2)) + 1)
-    return _mixture(edges, weigh, 2.0, tail)
+    return _mixture(edges, weigh, 2.0, tail), None
 
 
 @lru_cache(maxsize=8)  # node sets kept, the least recently used dropped first
 def _time_mixture(family: KernelFamily):
+    """The family's rule and, for stable, its extend(c, target) (else None)."""
     if family.kind == "stable":
         return _stable_mixture(family.alpha)
     return _wave_mixture(family.nu)
+
+
+_SEGMENT = 32  # orders per run of the downward Bessel recurrence
+_SEED_MIN = 2.0**-900  # seeds below this leave their segment to ive
+
+
+def _bessel_column(kmax: int, x) -> np.ndarray:
+    """H[k, i] = e^{-x_i} I_k(x_i) for 0 <= k <= kmax, by the downward
+    recurrence ive_{k-1} = ive_{k+1} + (2k/x) ive_k (Gautschi, SIAM Rev. 9,
+    1967).
+
+    The orders are cut into segments of 32, and each runs down from two
+    seeds, bessel_i_scaled at the next multiple of 32 above it and one more:
+    a value depends on (k, x) only, not on kmax. Every term is positive, so
+    each of the at most 32 steps adds at most 4 eps to the relative error of
+    the seeds. In a column whose upper seed is below 2^-900 (x tiny against
+    the order, or 0) the segment is taken from bessel_i_scaled directly.
+    """
+    x = np.asarray(x, dtype=float)
+    tops = _SEGMENT * np.arange(1, kmax // _SEGMENT + 2)
+    seeds = bessel_i_scaled(np.stack([tops, tops + 1], axis=1).reshape(-1, 1), x)
+    out = np.empty((tops[-1], len(x)))
+    for top, seed, above in zip(tops.tolist(), seeds[::2], seeds[1::2]):
+        upper, mid = above, seed  # ive_{k+1} and ive_k, from k = top down
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k in range(top, top - _SEGMENT, -1):
+                upper, mid = mid, upper + (2.0 * k) / x * mid
+                out[k - 1] = mid
+        small = np.flatnonzero(above < _SEED_MIN)
+        if len(small):
+            orders = np.arange(top - _SEGMENT, top)[:, None]
+            out[top - _SEGMENT : top, small] = bessel_i_scaled(orders, x[small])
+    return out[: kmax + 1]
+
+
+def _panel_sums(rule: _Rule, c: float, ks: np.ndarray):
+    """terms[k, i] = w_i H_{c z_i}(k) (_bessel_column), the K15 sum of each
+    panel, and a bound on each panel's error: its Gauss-Kronrod estimate and
+    its weights' errors."""
+    h = _bessel_column(int(ks.max()), c * rule.z)[ks]
+    terms = h * rule.w
+    starts = np.arange(0, len(rule.z), len(_XK))
+    panels = np.add.reduceat(terms, starts, axis=1)
+    err = (kronrod_error(panels, np.add.reduceat(h * rule.gauss, starts, axis=1))
+           + np.add.reduceat(h * rule.err, starts, axis=1))
+    return terms, panels, err
 
 
 def _line_mixture(family: KernelFamily, ts, ks, spec: QuadratureSpec):
     """Stable or wave values K[k, i] = K_{ts[i]}(k) on the line (q = 1): per
     time one Bessel matrix H_{c z_i}(k) summed against the family's weights,
     each value as numpy's pairwise sum of one contiguous row (the same bits
-    alone and in a block). The bound adds the Gauss-Kronrod estimate of every
-    panel, the weights' errors, the cut-off mass and the rounding of the sum.
+    alone and in a block). The bound adds the panels' errors, the cut-off
+    mass and the rounding of the recurrence (4 eps a step, 34 steps with the
+    seeds) and of the sum.
+
+    Where the stable rule's cut-off mass at c is above 1e-3 of a value's
+    tolerance, that value adds the panels of extend(c) up to the first past
+    which the mass is below it, as a running sum over panels: a value still
+    depends on (t, k, spec) only.
     """
-    z, w, gauss, err, power, tail = _time_mixture(family)
-    ks = np.asarray(ks, dtype=np.int64)[:, None]
-    starts = np.arange(0, len(z), len(_XK))
+    rule, extend = _time_mixture(family)
+    ks = np.asarray(ks, dtype=np.int64)
     out = np.empty((len(ks), len(ts)))
     for i, t in enumerate(np.asarray(ts, dtype=float).tolist()):
-        c = t**power
-        h = bessel_i_scaled(ks, c * z)
-        terms = h * w
+        c = t**rule.power
+        tail = rule.tail(c)
+        terms, _, err = _panel_sums(rule, c, ks)
         values = np.add.reduce(terms, axis=1)
-        panels = kronrod_error(np.add.reduceat(terms, starts, axis=1),
-                               np.add.reduceat(h * gauss, starts, axis=1))
-        bound = (panels.sum(axis=1) + np.add.reduce(h * err, axis=1) + tail(c)
-                 + (math.log2(len(z)) + 20.0) * _EPS * values)
+        rounding = (math.log2(len(rule.z)) + 20.0 + 4.0 * 34.0) * _EPS
+        bound = err.sum(axis=1) + tail + rounding * values
+        target = 1e-3 * np.maximum(spec.abs_tol, spec.rel_tol * values)
+        short = np.flatnonzero(target < tail) if extend else []
+        if len(short):
+            more, tails = extend(c, target[short].min())
+            _, panels, err = _panel_sums(more, c, ks[short])
+            last = np.minimum((tails > target[short, None]).sum(axis=1), len(tails) - 1)
+            rows = np.arange(len(short))
+            extra = np.cumsum(panels, axis=1)[rows, last]
+            bound[short] += (np.cumsum(err, axis=1)[rows, last] + tails[last] - tail
+                             + (rounding + (last + 2.0) * _EPS) * extra + _EPS * values[short])
+            values[short] += extra
         _check_bound(values, bound, spec, f"{family.label()} kernel at q=1, t={t:g}")
         out[:, i] = values
     return out

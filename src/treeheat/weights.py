@@ -38,6 +38,7 @@ from .geometry import (
     sphere_size,
     validate_word,
 )
+from .errors import NumericalError
 from .kernels import KernelFamily, kernel_block
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -46,6 +47,7 @@ NOT_ADMISSIBLE = "not-admissible"
 INCONCLUSIVE = "inconclusive"
 
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ def _closed_form_tail(u: WeightSpec, gamma: float, delta: float) -> float:
     terms before is below the largest t_x over real x, at x = delta/lam - 1
     (ln t_x is concave). For gamma = 0, delta < -1, the terms fall and the
     tail is below t_k + int_k^inf t_x dx. Each t_x is raised by the rounding
-    of its log.
+    of its log. A tail beyond the float range raises NumericalError.
     """
     q = float(u.geom.q)
     log_c = math.log((q + 1.0) / q) - math.log(u.closed_form.c) / (u.p - 1.0)
@@ -246,15 +248,21 @@ def _closed_form_tail(u: WeightSpec, gamma: float, delta: float) -> float:
 
     def term(x):
         parts = (log_c, -lam * x, delta * math.log1p(x))
-        return math.exp(math.fsum(parts) + 4.0 * _EPS * (sum(map(abs, parts)) + 4.0))
+        log_t = math.fsum(parts) + 4.0 * _EPS * (sum(map(abs, parts)) + 4.0)
+        return math.exp(log_t) if log_t < _LOG_MAX else math.inf
 
     k = u.geom.radius + 1
     if gamma == 0.0:
-        return term(k) * (1.0 + (1.0 + k) / (-(delta + 1.0)))
-    if delta <= 0.0:
-        return term(k) / -math.expm1(-lam)
-    m = max(k, math.ceil(1.0 / math.expm1(lam / (2.0 * delta))))
-    return (m - k) * term(max(k, delta / lam - 1.0)) + term(m) / -math.expm1(-0.5 * lam)
+        tail = term(k) * (1.0 + (1.0 + k) / (-(delta + 1.0)))
+    elif delta <= 0.0:
+        tail = term(k) / -math.expm1(-lam)
+    else:
+        m = max(k, math.ceil(1.0 / math.expm1(lam / (2.0 * delta))))
+        tail = (m - k) * term(max(k, delta / lam - 1.0)) + term(m) / -math.expm1(-0.5 * lam)
+    if math.isinf(tail):
+        raise NumericalError(f"the tail of a convergent series for {u.label()} "
+                             "is beyond the float range")
+    return tail
 
 
 def _table_series_verdict(
@@ -323,7 +331,8 @@ def _check(u: WeightSpec, x, log_g: np.ndarray, condition: str, params: dict, e=
         pp = u.p / (u.p - 1.0)
         log_s = _sphere_stats(u, x, pp / u.p)
         log_t = pp * log_g[: len(log_s)]
-        terms = np.exp(log_s + log_t)
+        with np.errstate(over="ignore"):  # the partial sum is then inf
+            terms = np.exp(log_s + log_t)
         stat = float(terms.sum())
         if cf is not None:
             verdict, gamma, delta = _closed_form_series_verdict(u, e)

@@ -374,3 +374,13 @@ def test_cold_processes_agree_bitwise(tmp_path):
             assert proc.returncode == 0, proc.stderr
     for name in ("verify.json", "maximal.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_weights_tail_beyond_float_range_exits_two(capsys):
+    # the series converges, but its terms and tail leave the float range
+    code = main(["weights", "--q", "2", "--p", "2", "--condition", "thm1-i", "--alpha", "1",
+                 "--weight", "q^(-0.999*k)*(1+k)^(-3000)"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float range" in captured.err

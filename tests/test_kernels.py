@@ -30,7 +30,8 @@ from treeheat.kernels import (
 )
 from treeheat.operators import MaximalSpec, radial_convolve
 from treeheat.quadrature import DEFAULT_SPEC, integrate
-from treeheat.special import StableDensityParams, bessel_i_scaled, stable_density
+from reference import StableDensityParams, stable_density
+from treeheat.special import bessel_i_scaled
 
 
 @lru_cache(maxsize=1)  # one ball at a time: the q = 3 one holds 3.2M vertices
@@ -610,3 +611,50 @@ def test_large_sphere_cutoff_zeroes_far_times():
     # the spectral cutoff: for enormous s the kernel is below underflow
     vals = heat_kernel_many(2, 0, np.array([1e6]))
     assert float(vals[0]) == 0.0
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 7.5, 37.0, 100.0, 1e3, 1e6, 1e9, 1e12])
+def test_bessel_column_against_mpmath(x):
+    # orders 0..100 cross the segment edges at 32 and 64. Each value is as
+    # good as its two seeds (bessel_i_scaled at the segment's top and one
+    # above) plus 4 eps per step down; small x sends the upper segments,
+    # whose seeds fall below 2^-900, to bessel_i_scaled itself
+    col = kernels._bessel_column(100, np.array([x]))[:, 0]
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        exact = [mp.besseli(k, mp.mpf(x)) * mp.exp(-mp.mpf(x)) for k in range(130)]
+
+        def rel(value, k):
+            return abs(mp.mpf(value) - exact[k]) / exact[k]
+
+        for k in range(101):
+            top = 32 * (k // 32 + 1)
+            if bessel_i_scaled(top + 1, x) < 2.0**-900:
+                assert col[k] == bessel_i_scaled(k, x), k
+                continue
+            seeds = max(rel(bessel_i_scaled(top, x), top), rel(bessel_i_scaled(top + 1, x), top + 1))
+            assert rel(col[k], k) <= seeds + 4 * (top - k) * eps, k
+    if x <= 1e-3:  # orders 32..63 took the fallback
+        assert bessel_i_scaled(65, x) < 2.0**-900
+
+
+@pytest.mark.parametrize("family", [KernelFamily.stable(0.3), KernelFamily.stable(1.0),
+                                    KernelFamily.wave(0.75)])
+@pytest.mark.parametrize("t", [0.01, 0.5, 30.0])
+def test_line_column_does_not_depend_on_kmax(family, t):
+    full = kernel_block(1, family, [t], 100)[:, 0]
+    for k in (0, 5, 31, 32, 33, 63, 64, 100):
+        for kmax in (k, 31, 32, 33, 64, 100):
+            if kmax >= k:
+                assert kernel_block(1, family, [t], kmax)[k, 0] == full[k], (k, kmax)
+
+
+def test_stable_line_small_alpha_tiny_time():
+    # c = t^{2/alpha} = 1e-30: the mass past the fixed node set needs panels
+    # added for this time, each value as many as its own tolerance asks for
+    family = KernelFamily.stable(0.2)
+    block = kernel_block(1, family, [0.5, 0.001], 30)
+    for k in (0, 1, 30):
+        expect = fourier_stable_line(0.2, 0.001, k)
+        assert block[k, 1] == pytest.approx(expect, rel=1e-10, abs=0.0), k
+        assert kernel_block(1, family, [0.001], k)[k, 0] == block[k, 1], k

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from treeheat.errors import RangeError
+from reference import RangeError, StableDensityParams, bessel_i, stable_density
 from treeheat.quadrature import integrate
 from treeheat.special import (
-    StableDensityParams,
-    bessel_i,
+    _pollard_series,
     bessel_i_scaled,
     eta_bound,
-    stable_density,
+    log_y_density,
     stable_exponent_constant,
 )
 
@@ -187,3 +187,60 @@ def test_eta_bound_validation():
         eta_bound(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         eta_bound(1.0, -1.0, 1.0)
+
+
+def pollard_series_mp(alpha, log_y):
+    """y f(y) by Pollard's series at the float beta = alpha/2 and ln y given,
+    to 60 significant digits: the working precision adds the digits of the
+    largest term, which the sum cancels."""
+    beta = 0.5 * alpha
+    n = np.arange(1.0, 20001.0)
+    log_m = gammaln(n * beta + 1.0) - gammaln(n + 1.0) - n * beta * log_y
+    dps = 60 + max(0, int(log_m.max() / math.log(10.0)) + 1)
+    last = int(n[np.flatnonzero(log_m > log_m.max() - (dps + 20) * math.log(10.0))[-1]])
+    with mp.workdps(dps):
+        b, log_u = mp.mpf(beta), -mp.mpf(beta) * mp.mpf(log_y)
+        total = mp.fsum((-1) ** (k + 1) * mp.exp(mp.loggamma(k * b + 1) - mp.loggamma(k + 1)
+                                                  + k * log_u) * mp.sinpi(k * b)
+                        for k in range(1, last + 1))
+        return total / mp.pi
+
+
+# ln y on each side of the split: where the series certifies its value, and
+# left of that, where Kanter's quadrature takes over
+SPLIT_POINTS = {
+    0.2: ([2.5, 8.0, 40.0], [1.0, -2.0]),
+    0.5: ([0.5, 6.0, 30.0], [-1.0, -3.0]),
+    1.0: ([0.0, 5.0, 25.0], [-1.5, -3.0]),
+    1.5: ([0.0, 3.0, 20.0], [-1.0, -2.0]),
+    1.9: ([0.5, 2.0, 15.0], [0.0, -0.3]),
+    1.99: ([0.6, 2.0, 10.0], [0.3, 0.1]),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SPLIT_POINTS))
+def test_log_y_density_against_pollard_series(alpha):
+    series_side, kanter_side = SPLIT_POINTS[alpha]
+    log_y = np.array(series_side + kanter_side)
+    value, error = log_y_density(alpha, log_y)
+    _, series_error = _pollard_series(0.5 * alpha, log_y)
+    # the series keeps exactly the values it certifies to 1e-13
+    kept = series_error <= 1e-13 * value
+    assert kept.tolist() == [True] * len(series_side) + [False] * len(kanter_side)
+    for x, v, e in zip(log_y, value, error):
+        expect = pollard_series_mp(alpha, x)
+        assert abs(mp.mpf(v) - expect) <= e, (x, v, e)
+        assert e <= 1e-11 * v, (x, e / v)
+
+
+def test_log_y_density_alpha_one_closed_form():
+    # Levy: y f(y) = y^{-1/2} e^{-1/(4y)} / (2 sqrt(pi)) for alpha = 1
+    log_y = np.linspace(-3.5, 12.0, 32)
+    value, error = log_y_density(1.0, log_y)
+    _, series_error = _pollard_series(0.5, log_y)
+    assert 0 < int((series_error <= 1e-13 * value).sum()) < len(log_y)  # both sides
+    with mp.workdps(40):
+        for x, v, e in zip(log_y, value, error):
+            y = mp.exp(mp.mpf(x))
+            expect = mp.exp(-1 / (4 * y)) / (2 * mp.sqrt(mp.pi * y))
+            assert abs(mp.mpf(v) - expect) <= e, (x, v, e)
