@@ -34,7 +34,7 @@ from .operators import (
     maximal,
     pde_residual,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .verify import ALL_CHECKS, VerificationReport, run_check, run_suite
 from .weights import (
     AdmissibilityVerdict,
@@ -74,7 +74,6 @@ __all__ = [
     "fractional_laplacian",
     "heat_apply",
     "heat_kernel",
-    "integrate",
     "kernel_block",
     "kernel_value",
     "laplacian",

@@ -1,5 +1,11 @@
 """Radial kernels of the heat semigroup and its two subordinated families.
 
+The heat kernel has one route at every q: the line's heat kernel pulled back
+to the tree by the inverse Abel transform,
+    H_s(k) = e^{-s(1-rho)} q^{-k/2} sum_{j>=0} q^{-j} d_{k+2j}(rho s),
+d_m = ive_m - ive_{m+2} > 0, a sum of positive terms cut where the rest is
+1e-3 rel_tol of the value (heat_kernel_many); at q = 1 it is ive_k(s).
+
 All three families are functions of the averaging operator P = I - L,
 L f = f - (mean of f over neighbors). For q >= 2 each is a walk mixture
 
@@ -11,9 +17,8 @@ sits at one given vertex at distance k, v_n(k) = u_n(k) rho^{-n}, rho =
 of the family's multiplier phi(1 - z) (Figa-Talamanca and Nebbia, LMS LN
 162; Cowling, Meda and Setti, Trans. AMS 352; Stinga and Torrea, Comm. PDE
 35). One table per q holds v and grows on demand; it does not depend on t.
+The stable and wave families and L^{alpha/2} are summed on it:
 
-- heat: w_n = e^{-t} t^n / n!, summed over a window of n around t rho per
-  time (heat_kernel_many);
 - stable P_t^alpha: the coefficients of exp(-t (1 - z)^{alpha/2}), by a
   recurrence that only adds positive terms;
 - wave-type T_t^nu: w_n = 2 (t/2)^{nu+n} K_{n-nu}(t) / (n! Gamma(nu)), by the
@@ -29,13 +34,14 @@ L^{alpha/2} (fractional_kernel) is a walk mixture of one sign, certified
 the same way.
 
 kernel_block(q, family, ts, kmax) gives K[j, i] = K_{ts[i]}(j) for a whole
-block of times: one heat_kernel_many call over every (j, t) for heat, one
-weight stream for all times of a stable block. tabulate is one column plus
-a bound on the mass beyond the ball from the w_n alone (_mass_beyond).
+block of times: one heat_kernel_many call, one Bessel grid, over every (j, t)
+for heat, one weight stream for all times of a stable block. tabulate is one
+column plus a bound on the mass beyond the ball from the w_n alone
+(_mass_beyond).
 
-q = 1 has no spectral gap and u_n ~ n^{-1/2}: heat routes through the Bessel
-form H_s(k) = e^{-s} I_k(s), and the other two families are positive
-mixtures of it, K_t(k) = sum_i w_i H_{c z_i}(k), over the stable density
+q = 1 has no spectral gap and u_n ~ n^{-1/2}: there heat is the Bessel form
+H_s(k) = e^{-s} I_k(s), and the other two families are positive mixtures of
+it, K_t(k) = sum_i w_i H_{c z_i}(k), over the stable density
 (z = y, c = t^{2/alpha}) or the Gamma(nu) density (z = 1/(4v), c = t^2), on
 nodes fixed per alpha or nu (_line_mixture). The stable weights come from
 Pollard's series where it certifies them and from Kanter's quadrature in the
@@ -54,12 +60,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import gammainc, gammaincc, gammaln, kve, xlog1py, xlogy
+from scipy.special import gammainc, gammaincc, kve
 
 from .errors import NumericalError
 from .geometry import TreeGeometry, sphere_size
 from .quadrature import _WG15, _WK, _XK, DEFAULT_SPEC, QuadratureSpec, kronrod_error
-from .special import bessel_i_scaled, log_y_density, stable_exponent_constant
+from .special import (IVE_ABS_ERR, IVE_REL_ERR, bessel_i_scaled, log_y_density,
+                      stable_exponent_constant)
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
@@ -122,46 +129,11 @@ def _walk_decay(q: int) -> float:
     return 2.0 * math.sqrt(q) / (q + 1.0)
 
 
-def _time_cutoff(q: int) -> float:
-    """Beyond s_cut = 700/b, b = 1 - rho the spectral gap, H_s <= e^{-s b}
-    underflows; q = 1 has no gap and no cutoff."""
-    b = 1.0 - _walk_decay(q)
-    return 700.0 / b if b > 0 else math.inf
-
-
-def _log_stirling(n: np.ndarray) -> np.ndarray:
-    """c_n = log n! - n log n + n, so log(e^{-mu} mu^n / n!) = -c_n - bd0(n, mu).
-
-    Below 16 from lgamma (every term is small); above, 0.5 log(2 pi n) plus
-    the Stirling series, which avoids the cancellation of log n! against
-    n log n (Loader, "Fast and accurate computation of binomial
-    probabilities", 2000).
-    """
-    n = np.asarray(n, dtype=float)
-    out = np.empty_like(n)
-    small = n < 16
-    ns = n[small]
-    out[small] = gammaln(ns + 1.0) - xlogy(ns, ns) + ns
-    nb = n[~small]
-    x = 1.0 / (nb * nb)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - x / 1188) * x) * x) * x) / nb
-    out[~small] = 0.5 * np.log(2.0 * math.pi * nb) + series
-    return out
-
-
-def _bd0(n, mu):
-    """n log(n/mu) + mu - n >= 0, accurate near n = mu; bd0(0, mu) = mu."""
-    d = n - mu
-    with np.errstate(over="ignore"):  # d / mu = inf as mu -> 0: the weight is 0
-        return xlog1py(n, d / mu) - d
-
-
 class _WalkTable:
     """v[n, j] = u_n(j) rho^{-n} for one q, where u_n(j) is the probability
     that the n-step simple random walk from o sits at one given vertex at
     distance j. u_n(j) <= rho^n (the l^2 norm of P^n), so 0 <= v <= 1, and
-    the rescaling keeps rows out to n ~ s_cut rho from underflowing. Beside
-    it, c[n] = _log_stirling(n) for the Poisson weights.
+    the rescaling keeps long rows from underflowing.
 
     Rows follow the recursion
         v_{n+1}(0) = v_n(1) (q+1)/(2 sqrt q),
@@ -176,13 +148,12 @@ class _WalkTable:
     def __init__(self, q: int):
         self.q = q
         self.v = np.zeros((0, 0))
-        self.c = np.zeros(0)
         self.rows = 0
         self.state = np.zeros(0)
         self.lock = threading.Lock()
 
-    def get(self, n_max: int, j_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """(v, c) with at least rows 0..n_max and columns 0..j_max."""
+    def get(self, n_max: int, j_max: int) -> np.ndarray:
+        """v with at least rows 0..n_max and columns 0..j_max."""
         with self.lock:
             if j_max >= self.v.shape[1]:
                 self.v = np.zeros((64, 32 * (j_max // 32 + 1)))
@@ -190,15 +161,13 @@ class _WalkTable:
                 self.state, self.rows = self.v[0], 1
             if n_max >= self.rows:
                 self._extend(n_max + 1)
-            return self.v, self.c
+            return self.v
 
     def _extend(self, rows: int) -> None:
         if rows > len(self.v):
             grown = np.empty((max(rows, 2 * len(self.v)), self.v.shape[1]))
             grown[: self.rows] = self.v[: self.rows]
             self.v = grown
-        if rows > len(self.c):
-            self.c = _log_stirling(np.arange(len(self.v)))
         q, cols = self.q, self.v.shape[1]
         u = np.zeros(max(cols, rows + 1))  # wide enough for every row made here
         u[: len(self.state)] = self.state
@@ -220,44 +189,6 @@ def _walk_table(q: int) -> _WalkTable:
     return _WalkTable(q)
 
 
-def _heat_sums(q: int, k: np.ndarray, s: np.ndarray):
-    """sum_n e^{-s} s^n/n! u_n(k) for pairs (k[i], s[i]) with 0 < s <= s_cut,
-    with a bound on the error of each value.
-
-    Written as e^{-s b} sum_n Poisson(n; s rho) v_n(k), b = 1 - rho. Each time
-    sums its own window of n from max(k, mu - 12 sqrt(mu) - 40) to
-    max(k, mu + 12 sqrt(mu) + 40) + 40, mu = s rho, over the n of k's parity
-    (u_n(k) = 0 otherwise). The window and the order of the sum depend only
-    on (s, k), so a value does not depend on the batch it comes in.
-
-    The bound adds the Poisson mass outside the window (Chernoff,
-    P(X >= a) <= e^{-bd0(a, mu)} for a >= mu and alike below, times v <= 1)
-    and rounding: about 4 eps per step of the recursion and the terms' log
-    weights, each good to eps (s b + |n - mu|).
-    """
-    rho = _walk_decay(q)
-    b = 1.0 - rho
-    mu = s * rho
-    spread = 12.0 * np.sqrt(mu) + 40.0
-    lo = np.maximum(k, np.floor(mu - spread)).astype(np.int64)
-    lo += (lo - k) % 2
-    hi = (np.maximum(k, mu + spread) + 40.0).astype(np.int64)
-    counts = (hi - lo) // 2 + 1
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(s)), counts)
-    n = lo[owner] + 2 * (np.arange(int(counts.sum())) - starts[owner])
-    table, c = _walk_table(q).get(int(hi.max()), int(k.max()))
-    mu_n = mu[owner]
-    terms = np.exp(-(s[owner] * b + c[n] + _bd0(n, mu_n))) * table[n, k[owner]]
-    values = np.add.reduceat(terms, starts)
-
-    outside = np.exp(-_bd0(hi + 1, mu))
-    below = lo > k
-    outside[below] += np.exp(-_bd0(lo[below] - 1, mu[below]))
-    bound = np.exp(-s * b) * outside + (4.0 * hi + s * b + 16.0) * _EPS * values
-    return values, bound
-
-
 def _check_bound(values, bound, spec: QuadratureSpec, what: str) -> None:
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
     if np.any(bound > tol):
@@ -269,29 +200,83 @@ def _check_bound(values, bound, spec: QuadratureSpec, what: str) -> None:
 
 def heat_kernel_many(q: int, k, s, spec: QuadratureSpec = DEFAULT_SPEC):
     """H_s(k) over distances k and times s that broadcast against each other
-    (one k and an array of times, or a column of k against a row of times);
-    q = 1 uses the Bessel form.
+    (one k and an array of times, or a column of k against a row of times),
+    each value certified to max(abs_tol, rel_tol |value|) or NumericalError
+    is raised.
 
-    For q >= 2, the walk mixture sum_n e^{-s} s^n/n! u_n(k); each value is
-    certified to max(abs_tol, rel_tol |value|) or NumericalError is raised.
-    Times beyond s_cut give 0.
+    The line's heat kernel pulled back to the tree by the inverse Abel
+    transform, at every q:
+        H_s(k) = e^{-s(1-rho)} q^{-k/2} sum_{j>=0} q^{-j} d_{k+2j}(x),  x = rho s,
+        d_m(x) = ive_m(x) - ive_{m+2}(x) = (2(m+1)/x) ive_{m+1}(x) > 0,
+    all from one bessel_i_scaled grid over the orders and the distinct times
+    of the call. At q = 1 (rho = 1) the sum telescopes to ive_k(s), the
+    grid's own entry. For q >= 2 the terms past j sum to at most
+    q^{-j-1} ive_{k+2j+2}(x), and as I_{n+1}(x)/I_n(x) <= min(1, x/(2n+2)),
+    to at most q^{-j-1} (x/2) prod_{n=2}^{2j+2} min(1, x/(2n)) times d_k(x)
+    at every k; the sum stops at the first j >= 1, J, where that is 1e-3
+    rel_tol, at most log_q(x/(2e-3 rel_tol)) where the product is 1. J
+    depends on x only and the sum runs by Horner's rule from j = J down, so a
+    value does not depend on the batch it comes in. d_m is the difference
+    below x = 1, where ive_{m+2} <= ive_m/8, and the ratio form above.
+
+    The bound adds that tail to the rounding: ive's error (IVE_REL_ERR, 9/7
+    of it through the difference, and IVE_ABS_ERR, at most 2(m + 1) times
+    itself in d_m and twice that in the sum and the tail), eps per Horner
+    step and, for q >= 2, the roundings of rho (eps, relative) and of x,
+    which move ln H by at most eps (2x + m) and eps (x + m)/2 at the largest
+    order m = k + 2J, and of s(1 - rho) and its exp. A time whose value
+    underflows gives 0 from e^{-s(1-rho)} itself.
     """
     _check_q(q)
-    k, s = np.broadcast_arrays(np.asarray(k, dtype=np.int64),
-                               np.atleast_1d(np.asarray(s, dtype=float)))
-    if np.any(np.isnan(s)) or np.any(s <= 0):
-        raise ValueError("times must be positive, not NaN")
+    k = np.asarray(k, dtype=np.int64)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((s > 0) & (s < math.inf)):
+        raise ValueError("times must be finite and positive")
     if np.any(k < 0):
         raise ValueError(f"k must be >= 0, got {k.min()}")
+    ts, which = np.unique(s, return_inverse=True)
+    k, which = np.broadcast_arrays(k, which.reshape(s.shape))
+    if not k.size:
+        return np.zeros(k.shape)
+    k0, k1 = int(k.min()), int(k.max())
     if q == 1:
-        return np.asarray(bessel_i_scaled(k, s), dtype=float)
-    out = np.zeros(s.shape)
-    live = s <= _time_cutoff(q)
-    if live.any():
-        vals, bound = _heat_sums(q, k[live], s[live])
-        _check_bound(vals, bound, spec, f"heat kernel at q={q}")
-        out[live] = vals
-    return out
+        values = bessel_i_scaled(np.arange(k0, k1 + 1)[:, None], ts)[k - k0, which]
+        _check_bound(values, IVE_REL_ERR * values + IVE_ABS_ERR, spec, "heat kernel at q=1")
+        return values
+    rho = _walk_decay(q)
+    lead = np.exp(-ts * (1.0 - rho))
+    x = np.where(lead > 0, rho * ts, 0.0)  # a time whose lead underflows gives 0 at any x
+    # the ratio form is discarded at tiny x, where it overflows (x = rho s is 0
+    # for subnormal s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x_top = max(float(x.max()), 2e-3 * spec.rel_tol)
+        cap = max(1, math.ceil(math.log(x_top / (2e-3 * spec.rel_tol)) / math.log(q)))
+        js = np.arange(1, cap + 1)
+        n = np.arange(2, 2 * cap + 3)[:, None]
+        shrink = np.cumsum(np.minimum(np.log(x) - np.log(2.0 * n), 0.0), axis=0)  # row n - 2
+        log_tail = np.log(0.5 * x) - (js[:, None] + 1) * math.log(q) + shrink[2 * js]
+        J = np.argmax(log_tail <= math.log(1e-3 * spec.rel_tol), axis=0) + 1
+        top = k1 + 2 * int(J.max()) + 2
+        grid = bessel_i_scaled(np.arange(k0, top + 1)[:, None], x)  # row m - k0
+        m = np.arange(k0, top - 1)[:, None]
+        d = np.where(x < 1.0, grid[:-2] - grid[2:], 2.0 * (m + 1.0) / x * grid[1:-1])
+    steps = np.arange(int(J.max()) + 1)[:, None]
+    # terms[j, r] = d_{k0+r+2j}, 0 past each time's J: the sum starts at J
+    terms = np.where((steps <= J)[:, None], d[2 * steps + np.arange(k1 - k0 + 1)], 0.0)
+    sums = terms[-1]
+    for j in range(len(steps) - 2, -1, -1):
+        sums = terms[j] + sums / q
+    Jk = J[which]
+    scale = lead[which] * float(q) ** (-0.5 * k)
+    values = scale * sums[k - k0, which]
+    tail = scale * float(q) ** (-Jk - 1.0) * grid[k - k0 + 2 * Jk + 2, which]
+    xk, mk = x[which], k + 2.0 * Jk
+    drift = 2.0 * xk + mk + 0.5 * (xk + mk) + ts[which] * (1.0 - rho)
+    rounding = (9.0 / 7.0) * IVE_REL_ERR + (Jk + 8.0 + drift) * _EPS
+    flushed = scale * (4.0 * mk + 8.0) * IVE_ABS_ERR  # and the roundings below 2^-1022
+    bound = rounding * values + (1.0 + IVE_REL_ERR) * tail + flushed
+    _check_bound(values, bound, spec, f"heat kernel at q={q}")
+    return values
 
 
 _BLOCK = 256  # weights are made and summed this many rows at a time
@@ -428,7 +413,7 @@ def _mix(q: int, blocks, times: int, ks, spec: QuadratureSpec):
     while open_.any():
         w, err = next(blocks)
         rows = w.shape[1]
-        table, _ = walk.get(n + rows - 1, int(ks.max()))
+        table = walk.get(n + rows - 1, int(ks.max()))
         terms = w[:, :, None] * table[n : n + rows, ks]
         terms[:, 0] += sums
         partial = np.cumsum(terms, axis=1)
@@ -649,8 +634,10 @@ def _line_mixture(family: KernelFamily, ts, ks, spec: QuadratureSpec):
     time one Bessel matrix H_{c z_i}(k) summed against the family's weights,
     each value as numpy's pairwise sum of one contiguous row (the same bits
     alone and in a block). The bound adds the panels' errors, the cut-off
-    mass and the rounding of the recurrence (4 eps a step, 34 steps with the
-    seeds) and of the sum.
+    mass, ive's error (IVE_REL_ERR, which a recurrence of positive terms
+    carries unchanged, and IVE_ABS_ERR times the weights, whose sum is about
+    1), the rounding of the recurrence (4 eps a step, 34 steps with the seeds)
+    and of the sum.
 
     Where the stable rule's cut-off mass at c is above 1e-3 of a value's
     tolerance, that value adds the panels of extend(c) up to the first past
@@ -665,8 +652,8 @@ def _line_mixture(family: KernelFamily, ts, ks, spec: QuadratureSpec):
         tail = rule.tail(c)
         terms, _, err = _panel_sums(rule, c, ks)
         values = np.add.reduce(terms, axis=1)
-        rounding = (math.log2(len(rule.z)) + 20.0 + 4.0 * 34.0) * _EPS
-        bound = err.sum(axis=1) + tail + rounding * values
+        rounding = IVE_REL_ERR + (math.log2(len(rule.z)) + 20.0 + 4.0 * 34.0) * _EPS
+        bound = err.sum(axis=1) + tail + rounding * values + 2.0 * IVE_ABS_ERR
         target = 1e-3 * np.maximum(spec.abs_tol, spec.rel_tol * values)
         short = np.flatnonzero(target < tail) if extend else []
         if len(short):
@@ -736,7 +723,7 @@ def fractional_kernel(
 
 
 def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """H_t(k) on the degree-(q+1) tree; q = 1 routes to the Bessel form."""
+    """H_t(k) on the degree-(q+1) tree, one value of heat_kernel_many."""
     _check_time(t)
     return float(heat_kernel_many(q, k, [t], spec)[0])
 

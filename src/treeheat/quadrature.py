@@ -1,20 +1,12 @@
-"""Adaptive Gauss-Kronrod quadrature with vectorized integrands.
-
-Integrands must accept numpy arrays of abscissae. Semi-infinite domains
-[a, inf) are mapped onto a finite interval through u = x / (1 + x) before
-adaptive bisection, so algebraic tails turn into endpoint power behavior that
-bisection resolves.
-"""
+"""The G7/K15 Gauss-Kronrod rule, its error estimate, and the tolerances
+every certified value is checked against (QuadratureSpec)."""
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericalError
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss
 # rule, written from x >= 0 (both rules are symmetric about 0)
@@ -40,130 +32,17 @@ def kronrod_error(kronrod, gauss):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for adaptive integration."""
+    """The tolerance of every certified value: its error bound must be at
+    most max(abs_tol, rel_tol |value|)."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    # panels whose integrand mass is below abs_tol * tail_cut_factor are
-    # dropped from refinement instead of being bisected further
-    tail_cut_factor: float = 1e-3
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError(
                 f"tolerances must be finite and positive, got abs_tol={self.abs_tol}, "
                 f"rel_tol={self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def _panel_eval(f, lows, highs):
-    """GK15 on a batch of panels. Returns (values, error estimates, sup |f|)."""
-    half = 0.5 * (highs - lows)
-    mid = 0.5 * (highs + lows)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    vk = half * (fx @ _WK)
-    vg = half * (fx[:, 1::2] @ _WG)
-    err = (200.0 * np.abs(vk - vg)) ** 1.5
-    np.minimum(err, np.abs(vk - vg) * 200.0, out=err)
-    sup = np.abs(fx).max(axis=1)
-    return vk, err, sup
-
-
-def _adaptive(f, a, b, spec: QuadratureSpec, initial_panels: int, breakpoints):
-    edges = [a, b]
-    if breakpoints:
-        edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    pts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, int(math.ceil(initial_panels * (hi - lo) / (b - a))))
-        pts.append(np.linspace(lo, hi, n + 1))
-    grid = np.unique(np.concatenate(pts))
-    lows, highs = grid[:-1], grid[1:]
-    vals, errs, sups = _panel_eval(f, lows, highs)
-
-    heap = []
-    for i in range(len(lows)):
-        heapq.heappush(heap, (-errs[i], lows[i], highs[i], vals[i], sups[i]))
-    total = float(vals.sum())
-    total_err = float(errs.sum())
-    n_sub = len(lows)
-    while n_sub < spec.max_subdivisions:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol or not heap:
-            break
-        neg_err, lo, hi, val, sup = heapq.heappop(heap)
-        if -neg_err <= tol / max(1, len(heap) + 1) * 0.5:
-            heapq.heappush(heap, (neg_err, lo, hi, val, sup))
-            break
-        if sup * (hi - lo) < spec.abs_tol * spec.tail_cut_factor:
-            # negligible panel: its contribution is bounded by sup * width
-            total_err -= -neg_err
-            continue
-        mid_pt = 0.5 * (lo + hi)
-        l2 = np.array([lo, mid_pt])
-        h2 = np.array([mid_pt, hi])
-        v2, e2, s2 = _panel_eval(f, l2, h2)
-        total += float(v2.sum()) - val
-        total_err += float(e2.sum()) - (-neg_err)
-        for i in range(2):
-            heapq.heappush(heap, (-e2[i], l2[i], h2[i], v2[i], s2[i]))
-        n_sub += 1
-
-    tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-    if total_err > tol:
-        raise NumericalError(
-            f"quadrature did not converge: err={total_err:.3e} > tol={tol:.3e}",
-            err_estimate=total_err,
-        )
-    return total, total_err
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    initial_panels: int = 8,
-    breakpoints=None,
-):
-    """Integrate a vectorized integrand over [a, b]; b may be math.inf.
-
-    Returns (value, err_estimate). Raises NumericalError if the requested
-    tolerance is not reached within the subdivision budget.
-    """
-    if not b > a:
-        raise ValueError(f"empty or inverted interval [{a}, {b}]")
-    if math.isinf(a):
-        raise ValueError("lower bound must be finite")
-    if math.isinf(b):
-        # x = a + u/(1-u), dx = du/(1-u)^2
-        # x = a + u/(1-u) with u = 1-(1-v)^5: the quintic clustering tames
-        # algebraic tails (x^-s integrable for s > 1.2 maps to a bounded
-        # integrand), keeping the GK error estimate honest near v = 1
-        def g(v):
-            v = np.asarray(v, dtype=float)
-            r = 1.0 - v
-            ok = r > 0
-            out = np.zeros_like(v)
-            rv = r[ok]
-            x = a + (1.0 - rv**5) / rv**5
-            fx = np.asarray(f(x), dtype=float)
-            out[ok] = 5.0 * fx * rv**-6
-            return out
-
-        mapped_bp = None
-        if breakpoints:
-            mapped_bp = [
-                1.0 - (1.0 / (1.0 + (x - a))) ** 0.2
-                for x in breakpoints
-                if math.isfinite(x) and x > a
-            ]
-        # GK nodes are interior, so u = 1 (x = inf) is never evaluated
-        return _adaptive(g, 0.0, 1.0, spec, initial_panels, mapped_bp)
-    return _adaptive(f, a, b, spec, initial_panels, breakpoints)

@@ -17,6 +17,7 @@ import sympy
 
 from treeheat.cli import main
 from ball import ball_adjacency
+from reference import integrate
 from treeheat.geometry import ROOT, TreeGeometry
 from treeheat.kernels import (
     KernelFamily,
@@ -25,7 +26,6 @@ from treeheat.kernels import (
     stable_kernel,
 )
 from treeheat.operators import TreeFunction, pde_residual
-from treeheat.quadrature import integrate
 from treeheat.verify import run_check
 from treeheat.weights import (
     ADMISSIBLE,

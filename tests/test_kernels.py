@@ -29,8 +29,9 @@ from treeheat.kernels import (
     write_kernel_csv,
 )
 from treeheat.operators import MaximalSpec, radial_convolve
-from treeheat.quadrature import DEFAULT_SPEC, integrate
-from reference import StableDensityParams, stable_density
+from treeheat.errors import NumericalError
+from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
+from reference import StableDensityParams, integrate, stable_density
 from treeheat.special import bessel_i_scaled
 
 
@@ -94,17 +95,22 @@ def test_heat_kernel_many_matches_scalar():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [0, 1, 4, 9])
 def test_heat_kernel_many_is_batch_independent(q, k):
-    batch = heat_kernel_many(q, k, [2.3, 7.9, 0.01, 300.0])
-    for i, t in enumerate([2.3, 7.9, 0.01, 300.0]):
-        alone = heat_kernel_many(q, k, [t])[0]
-        assert alone.tobytes() == batch[i].tobytes()
+    # at rel_tol 1e-4 the sum's cut J is low enough that summing past a
+    # time's own J, to the batch's largest, would move t = 300 and 3000
+    ts = [2.3, 7.9, 0.01, 300.0, 3000.0, 12000.0]
+    for spec in (DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-4)):
+        batch = heat_kernel_many(q, k, ts, spec)
+        for i, t in enumerate(ts):
+            alone = heat_kernel_many(q, k, [t], spec)[0]
+            assert alone.tobytes() == batch[i].tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_heat_block_equals_per_k_calls(q):
     # one call over every (k, t) pair gives each value the bits of its own call,
-    # on the maximal grid, at large times and past the spectral cutoff
-    ts = np.array(MaximalSpec.default(1.0).grid + (300.0, 5000.0, 2.0 * kernels._time_cutoff(q)))
+    # on the maximal grid, at large times and where e^{-t(1-rho)} underflows
+    rho = 2.0 * math.sqrt(q) / (q + 1.0)
+    ts = np.array(MaximalSpec.default(1.0).grid + (300.0, 5000.0, 1400.0 / (1.0 - rho)))
     block = kernel_block(q, KernelFamily.heat(), ts, 40)
     for k in range(41):
         assert block[k].tobytes() == heat_kernel_many(q, k, ts).tobytes(), k
@@ -133,14 +139,30 @@ def spectral_heat(q, t, k):
                 )
             return mp.exp(mp.mpf(t) * (rho * mp.cos(u) - 1)) * g
 
-        # at large t the integrand sits within ~1/sqrt(t) of u = 0
-        return float(mp.quad(f, [0] + [mp.pi / 2**j for j in range(10, -1, -1)]))
+        # at large t the integrand sits within ~1/sqrt(t) of u = 0, where
+        # breakpoints pi/2^j alone leave it 1.4e-8 off at q = 7, t = 500
+        r = 4 if t >= 100 else 1
+        breakpoints = [mp.pi / 2 ** (mp.mpf(j) / r) for j in range(10 * r, -1, -1)]
+        return float(mp.quad(f, [0] + breakpoints))
 
 
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("t,k", [(0.05, 20), (0.5, 10), (5.0, 25), (1000.0, 0), (1000.0, 5)])
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize(
+    "t,k",
+    # at t = 1e-6 the oracle's cancellation leaves too few digits beyond k = 7
+    [(1e-6, 0), (1e-6, 7), (0.05, 20), (0.5, 10), (5.0, 25), (40.0, 3), (40.0, 60),
+     (1000.0, 0), (1000.0, 5)],
+)
 def test_heat_kernel_against_spectral_integral(q, t, k):
     assert heat_kernel(q, t, k) == pytest.approx(spectral_heat(q, t, k), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_heat_bound_counts_bessel_error(q):
+    # ive's own error (IVE_REL_ERR, 9e-13) is above a relative tolerance of 1e-16
+    strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
+    with pytest.raises(NumericalError):
+        heat_kernel(q, 0.5, 3, strict)
 
 
 def wave_walk_mixture(q, nu, t, k, nmax=800):
@@ -310,7 +332,7 @@ def test_walk_mixture_alone_equals_table(q, family):
 def test_walk_table_below_ground_spherical_function(q):
     # v_n(k) = u_n(k) rho^-n <= phi0(k): the truncation of the stable and
     # wave sums rests on it
-    v, _ = _walk_table(q).get(3000, 60)
+    v = _walk_table(q).get(3000, 60)
     k = np.arange(61)
     phi0 = (1.0 + k * (q - 1.0) / (q + 1.0)) * float(q) ** (-k / 2.0)
     assert np.all(v[:3001, :61].max(axis=0) <= phi0)
@@ -320,14 +342,14 @@ def test_walk_table_below_ground_spherical_function(q):
 def test_walk_table_rows_do_not_depend_on_how_it_grew(q):
     # each row is run on its whole width, so neither the steps a table grew
     # in, nor the columns it keeps, nor a rebuild for more columns moves a bit
-    one = kernels._WalkTable(q).get(2000, 200)[0][:2001, :201]
+    one = kernels._WalkTable(q).get(2000, 200)[:2001, :201]
     steps = kernels._WalkTable(q)
     for n in range(0, 2001, 7):
         steps.get(n, 200)
     rebuilt = kernels._WalkTable(q)
-    narrow = rebuilt.get(2000, 40)[0][:2001, :41].copy()
+    narrow = rebuilt.get(2000, 40)[:2001, :41].copy()
     assert np.array_equal(narrow, one[:, :41])
-    for table in (steps.get(2000, 200)[0], rebuilt.get(2000, 200)[0]):
+    for table in (steps.get(2000, 200), rebuilt.get(2000, 200)):
         assert np.array_equal(table[:2001, :201], one)
 
 

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from reference import RangeError, StableDensityParams, bessel_i, stable_density
-from treeheat.quadrature import integrate
+from reference import RangeError, StableDensityParams, bessel_i, integrate, stable_density
 from treeheat.special import (
+    IVE_ABS_ERR,
+    IVE_REL_ERR,
     _pollard_series,
     bessel_i_scaled,
     eta_bound,
@@ -26,13 +27,16 @@ def test_bessel_i_against_mpmath(x):
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("x", [0.5, 10.0, 1e3, 1e6, 5e8])
+@pytest.mark.parametrize("x", [0.5, 10.0, 1e3, 1e6, 5e8] + np.geomspace(1e-12, 3e8, 48).tolist())
 def test_bessel_i_scaled_against_mpmath(x):
-    mp.mp.dps = 30
-    for k in (0, 1, 7, 25):
-        expect = float(mp.besseli(k, mp.mpf(x)) * mp.exp(-mp.mpf(x)))
-        got = float(bessel_i_scaled(k, x))
-        assert got == pytest.approx(expect, rel=1e-10)
+    # the error every bound built on bessel_i_scaled counts for it
+    orders = np.arange(0, 331, 3)
+    got = bessel_i_scaled(orders, x)
+    with mp.workdps(40):
+        for k, value in zip(orders.tolist(), got.tolist()):
+            expect = mp.besseli(k, mp.mpf(x)) * mp.exp(-mp.mpf(x))
+            err = float(abs(mp.mpf(value) - expect))
+            assert err <= IVE_REL_ERR * float(expect) + IVE_ABS_ERR, k
 
 
 @pytest.mark.parametrize("x", [2e9, 1e12])

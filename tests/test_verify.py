@@ -9,7 +9,7 @@ import treeheat.verify
 from treeheat.geometry import TreeGeometry, distance, enumerate_ball
 from treeheat.kernels import KernelFamily, comparator_Z, kernel_block, stable_kernel, wave_kernel
 from treeheat.operators import MaximalSpec
-from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
+from treeheat.quadrature import QuadratureSpec
 from treeheat.verify import (
     ALL_CHECKS,
     VerificationReport,
@@ -97,7 +97,7 @@ def test_phi0_band_is_report_only():
 
 def test_numerical_failure_becomes_failed_report():
     # an impossible tolerance must yield a failed report, not an exception
-    strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
+    strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
     r = run_check("semigroup-law", FAST_CFG["semigroup-law"], spec=strict)
     assert not r.passed
     assert r.error is not None
@@ -124,15 +124,10 @@ def test_run_suite_defaults_to_all():
 # ---- the comparison checks on kernel blocks against the per-value route ----
 
 
-def _scaled_spec(scale, spec):
+def _scaled_spec(scale):
     """The per-value spec the comparison checks once used: an absolute floor
     proportional to the expected magnitude of the value."""
-    return QuadratureSpec(
-        abs_tol=max(scale * 1e-9, 1e-280),
-        rel_tol=1e-9,
-        max_subdivisions=max(spec.max_subdivisions, 4000),
-        tail_cut_factor=spec.tail_cut_factor,
-    )
+    return QuadratureSpec(abs_tol=max(scale * 1e-9, 1e-280), rel_tol=1e-9)
 
 
 def _old_band(ratios):
@@ -148,7 +143,7 @@ def _old_grouped(groups):
 
 def _stable_scaled(q, alpha, t, k):
     scale = t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
-    return stable_kernel(q, alpha, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale
+    return stable_kernel(q, alpha, t, k, _scaled_spec(scale)) / scale
 
 
 def _old_a1(c):
@@ -171,7 +166,7 @@ def _old_prop_est_a(c):
             for k in range(3):  # ceil(2.5)
                 profile = (t ** (2 * k) * (k + 1.0) ** (-k - 0.5)
                            * (2.0 * math.e / (q + 1.0)) ** (k + 1.0))
-                val = wave_kernel(q, 2.5, t, k, _scaled_spec(profile, DEFAULT_SPEC))
+                val = wave_kernel(q, 2.5, t, k, _scaled_spec(profile))
                 worst = max(worst, val / profile)
     return {"max_ratio": worst}
 
@@ -184,7 +179,7 @@ def _old_prop_est_bc(c):
             for t in c["ts"]:
                 for k in range(int(math.ceil(nu)) + 1, c["kmax"] + 1):
                     scale = t ** (2 * nu) / (k ** (nu + 1.0) * float(q) ** k)
-                    group.append(wave_kernel(q, nu, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale)
+                    group.append(wave_kernel(q, nu, t, k, _scaled_spec(scale)) / scale)
             groups.append(group)
     return _old_grouped(groups)
 
@@ -208,7 +203,7 @@ def _old_prop2(c):
         for t in c["ts"]:
             for k in range(c["kmax"] + 1):
                 scale = comparator_Z(a, t, k)
-                ratios.append(stable_kernel(1, a, t, k, _scaled_spec(scale, DEFAULT_SPEC)) / scale)
+                ratios.append(stable_kernel(1, a, t, k, _scaled_spec(scale)) / scale)
     return _old_band(ratios)
 
 
