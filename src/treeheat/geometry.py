@@ -79,22 +79,25 @@ def distance(u, v, q: int | None = None) -> int:
     return len(u) + len(v) - 2 * lca
 
 
-def distance_matrix(us, vs) -> np.ndarray:
-    """d(us[i], vs[j]) for two lists of words, all at once: each pair's depths
-    minus twice the length of its common prefix."""
-    width = max((len(w) for w in (*us, *vs)), default=0)
+def ball_distances(geom: TreeGeometry, x) -> np.ndarray:
+    """d(x, y) for every ball vertex y, in enumerate_ball's order; x may lie
+    outside the ball.
 
-    def padded(words, fill):
-        out = np.full((len(words), width), fill, dtype=np.int64)
-        for i, w in enumerate(words):
-            out[i, : len(w)] = w
-        return out
-
-    same = padded(us, -1)[:, None, :] == padded(vs, -2)[None, :, :]
-    lca = np.cumprod(same, axis=2).sum(axis=2)
-    du = np.array([len(w) for w in us], dtype=np.int64)
-    dv = np.array([len(w) for w in vs], dtype=np.int64)
-    return du[:, None] + dv[None, :] - 2 * lca
+    Built one level at a time: each vertex has q + 1 children at level 1 and
+    q after, each one step further from x than its parent, except the one on
+    the path from o to x, which is |x| - level from it.
+    """
+    x = validate_word(x, geom.q)
+    level = np.array([len(x)], dtype=np.int64)
+    out, on_path = [level], 0
+    for n in range(1, geom.radius + 1):
+        fan = geom.q + 1 if n == 1 else geom.q
+        level = np.repeat(level + 1, fan)
+        if n <= len(x):
+            on_path = on_path * fan + x[n - 1]
+            level[on_path] = len(x) - n
+        out.append(level)
+    return np.concatenate(out)
 
 
 def neighbors(word: Word, q: int) -> list[Word]:

@@ -499,6 +499,12 @@ def _mixture(edges, weigh, power: float, tail) -> _Rule:
                  (density * half * _WG15).ravel(), (err * half * _WK).ravel(), power, tail)
 
 
+def _heat_cap(s):
+    """An upper bound on H_s(k) = e^{-s} I_k(s) at every k, as computed too:
+    the k = 0 value with ive's error (IVE_REL_ERR, IVE_ABS_ERR)."""
+    return (1.0 + IVE_REL_ERR) * bessel_i_scaled(0, s) + IVE_ABS_ERR
+
+
 _THIRD_DECADE = math.log(10.0) / 3.0
 _EXP_EDGES = (1.5, 2.5, 4, 6, 9, 13, 18, 25, 35, 50, 70, 100, 150, 230, 350, 500, 700)
 _LN_Y_MAX = 700.0  # extra panels stop here, where e^{ln y} is still finite
@@ -535,7 +541,7 @@ def _stable_mixture(alpha: float):
 
     def mass_past(x_hi, c):
         y_hi = math.exp(x_hi)
-        return bessel_i_scaled(0, c * y_hi) * y_hi**-beta / (1.0 - math.exp(-1.0)) + left_mass
+        return _heat_cap(c * y_hi) * y_hi**-beta / (1.0 - math.exp(-1.0)) + left_mass
 
     def weigh(x):
         return log_y_density(alpha, x)
@@ -569,7 +575,7 @@ def _wave_mixture(nu: float):
         return density, rounding * _EPS * density
 
     def tail(c):
-        return bessel_i_scaled(0, c / (4.0 * v_lo)) * gammainc(nu, v_lo) + gammaincc(nu, 800.0)
+        return _heat_cap(c / (4.0 * v_lo)) * gammainc(nu, v_lo) + gammaincc(nu, 800.0)
 
     edges = np.linspace(lo, hi, math.ceil((hi - lo) * max(1.0, math.sqrt(nu) / 1.2)) + 1)
     return _mixture(edges, weigh, 2.0, tail), None

@@ -21,8 +21,9 @@ from .geometry import (
     ROOT,
     TreeGeometry,
     Word,
+    ball_distances,
     depth,
-    distance_matrix,
+    enumerate_ball,
     neighbors,
     radial_distance_counts,
     validate_word,
@@ -133,12 +134,31 @@ def _cross_matrix(f: TreeFunction, xs) -> np.ndarray:
     items = f.support_items()
     if not items:
         return np.zeros((len(xs), 1))
-    D = distance_matrix(xs, [w for w, _ in items])
-    C = np.zeros((len(xs), int(D.max()) + 1))
-    rows = np.arange(len(xs))
-    for s, (_, v) in enumerate(items):  # in order, so each sum runs as a loop would
-        C[rows, D[:, s]] += v
-    return C
+    ws, vs = zip(*items)
+    # d(x, w) one vector at a time, from the smaller side: the ball around the
+    # xs once per support vertex, or the ball around the support once per x.
+    # Either way each C[x, j] adds its terms in the order of the items.
+    g_x, g_w = (TreeGeometry(f.geom.q, max(map(depth, zs))) for zs in (xs, ws))
+    C, width = np.zeros((len(xs), g_x.radius + g_w.radius + 1)), 1
+    if len(ws) * g_x.ball_size() <= len(xs) * g_w.ball_size():
+        at, rows = _ball_positions(g_x, xs), np.arange(len(xs))
+        for w, v in items:
+            d = ball_distances(g_x, w)[at]
+            C[rows, d] += v
+            width = max(width, int(d.max()) + 1)
+    else:
+        at, vs = _ball_positions(g_w, ws), np.array(vs)
+        for i, x in enumerate(xs):
+            row = np.bincount(ball_distances(g_w, x)[at], vs)
+            C[i, : len(row)] = row
+            width = max(width, len(row))
+    return C[:, :width]
+
+
+def _ball_positions(geom: TreeGeometry, words) -> np.ndarray:
+    """The index of each word in enumerate_ball(geom)."""
+    index = {w: i for i, w in enumerate(enumerate_ball(geom))}
+    return np.array([index[w] for w in words])
 
 
 def _combine(C: np.ndarray, K: np.ndarray) -> np.ndarray:

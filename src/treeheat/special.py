@@ -19,6 +19,7 @@ from .quadrature import _WG15, _WK, _XK, kronrod_error
 
 _EPS = float(np.finfo(float).eps)
 _IVE_X_MAX = 1e9  # scipy's ive returns nan above ~1e10
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the error of bessel_i_scaled, with margin, is at most IVE_REL_ERR of the
 # value plus IVE_ABS_ERR: against 40-digit mpmath over orders 0..330 and x in
 # [1e-12, 3e8], scipy's ive was at most 1,680 eps off, except that it gives 0
@@ -48,7 +49,8 @@ def bessel_i_scaled(order, x):
             e8 = 8.0 * xb
             corr = (1.0 - (mu - 1.0) / e8 + (mu - 1.0) * (mu - 9.0) / (2.0 * e8**2)
                     - (mu - 1.0) * (mu - 9.0) * (mu - 25.0) / (6.0 * e8**3))
-            out[big] = np.where(np.isfinite(xb), corr / np.sqrt(2.0 * math.pi * xb), 0.0)
+            # sqrt(2 pi x) apart: 2 pi x overflows above about 2.9e307
+            out[big] = np.where(np.isfinite(xb), corr / (_SQRT_2PI * np.sqrt(xb)), 0.0)
     return float(out[0]) if scalar else out
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import FlowStructure, flow_constant, verify_flow_conjugation
-from .geometry import ROOT, TreeGeometry, distance_matrix, enumerate_ball
+from .geometry import ROOT, TreeGeometry, ball_distances, enumerate_ball
 from .kernels import KernelFamily, comparator_Z, kernel_block, tabulate
 from .operators import BallOperator, MaximalSpec, TreeFunction, radial_convolve
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -420,7 +420,7 @@ def _check_weights_roundtrip(spec, c):
 
     xs = enumerate_ball(geom_x)
     ys = enumerate_ball(TreeGeometry(q, c.f_radius))
-    dmat = distance_matrix(xs, ys)
+    dmat = np.stack([ball_distances(geom_x, y) for y in ys], axis=1)  # d(x, y) = d(y, x)
     width = int(dmat.max()) + 1
     # the entry (x, d(x, y)) of each pair, row by row: bincount then sums each
     # sphere of x in the order of ys

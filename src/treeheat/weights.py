@@ -11,7 +11,8 @@ The stable (Thm1-i) and wave-type (Thm2-i) families take the power profile
 g_j = (q^j (1+j)^e)^{-1}, with e = 1 + alpha/2 and e = nu + 1; the heat
 family (Thm3-g) takes the tabulated kernel g_j = H_R(j). Radial weights get
 log S_j and log m_j from the joint distance census, at any base vertex and
-without visiting the ball; explicit tables visit their own entries. Sums
+without visiting the ball; explicit tables, held in ball order, read each
+sphere from the distances to x over the ball, built a level at a time. Sums
 are taken in logs, so a finite term never passes through an overflow.
 
 Verdicts follow a strict certification policy: `admissible` needs a finite
@@ -32,9 +33,10 @@ from .geometry import (
     ROOT,
     TreeGeometry,
     Word,
+    ball_distances,
     cross_distance_counts,
     depth,
-    distance,
+    enumerate_ball,
     sphere_size,
     validate_word,
 )
@@ -94,10 +96,17 @@ class WeightSpec:
             if any(not 0 < v < math.inf for v in self.radial):
                 raise ValueError("weights must be finite and strictly positive")
         if self.table is not None:
-            if any(not 0 < v < math.inf for v in self.table.values()):
-                raise ValueError("weights must be finite and strictly positive")
-            if len(self.table) != self.geom.ball_size():
+            # held in ball order, so that every sphere sum runs in that order
+            words = enumerate_ball(self.geom)
+            try:
+                table = {w: float(self.table[w]) for w in words}
+            except KeyError:
+                table = None
+            if table is None or len(self.table) != len(words):
                 raise ValueError("an explicit weight table must cover the whole ball")
+            if any(not 0 < v < math.inf for v in table.values()):
+                raise ValueError("weights must be finite and strictly positive")
+            object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_closed_form(
@@ -111,13 +120,7 @@ class WeightSpec:
 
     @staticmethod
     def from_table(geom: TreeGeometry, p: float, mapping) -> "WeightSpec":
-        table = {}
-        for w, v in mapping.items():
-            w = validate_word(w, geom.q)
-            if depth(w) > geom.radius:
-                raise ValueError(f"vertex {w} outside the ball")
-            table[w] = float(v)
-        return WeightSpec(geom, p, table=table)
+        return WeightSpec(geom, p, table=mapping)
 
     @property
     def is_radial(self) -> bool:
@@ -184,7 +187,8 @@ def _sphere_stats(u: WeightSpec, x: Word, s: float | None) -> np.ndarray:
     for each sphere j = 0..radius-|x| around x.
 
     Radial weights read the census of (d(o, y), d(x, y)) pairs; explicit
-    tables visit their entries. Each sum is shifted by its largest log term.
+    tables, in ball order, read d(x, y) from ball_distances. Each sum is
+    shifted by its largest log term.
     """
     jmax = u.geom.radius - depth(x)
     if jmax < 0:
@@ -194,8 +198,8 @@ def _sphere_stats(u: WeightSpec, x: Word, s: float | None) -> np.ndarray:
         i, j, log_n = np.array([(i, j, math.log(n)) for i, j, n in census]).T
         j, log_u = j.astype(int), u.log_radial()[i.astype(int)]
     else:
-        j = np.array([distance(x, y) for y in u.table])
-        log_u, log_n = np.log(np.fromiter(u.table.values(), float)), np.zeros(len(j))
+        j = ball_distances(u.geom, x)
+        log_u, log_n = np.log(np.fromiter(u.table.values(), float, len(j))), np.zeros(len(j))
     keep = j <= jmax
     j, log_u, log_n = j[keep], log_u[keep], log_n[keep]
     if s is None:

@@ -8,6 +8,7 @@ from ball import ball_adjacency
 from treeheat.geometry import (
     ROOT,
     TreeGeometry,
+    ball_distances,
     cross_distance_counts,
     depth,
     distance,
@@ -27,6 +28,21 @@ def test_distance_matches_bfs(q, radius):
     for i, u in enumerate(verts):
         for j, v in enumerate(verts):
             assert distance(u, v) == int(d[i, j])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("radius", range(6))
+def test_ball_distances_match_distance(q, radius):
+    geom = TreeGeometry(q, radius)
+    ball = enumerate_ball(geom)
+    rng = np.random.default_rng(10 * q + radius)
+    inside = ball if len(ball) <= 60 else [ball[i] for i in rng.choice(len(ball), 60, replace=False)]
+    outside = [  # random words one to three levels past the ball
+        (int(rng.integers(q + 1)), *rng.integers(q, size=radius + int(rng.integers(3))).tolist())
+        for _ in range(20)
+    ]
+    for x in [*inside, ball[-1], *outside]:
+        assert ball_distances(geom, x).tolist() == [distance(x, y) for y in ball], x
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])

@@ -32,7 +32,7 @@ from treeheat.operators import MaximalSpec, radial_convolve
 from treeheat.errors import NumericalError
 from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
 from reference import StableDensityParams, integrate, stable_density
-from treeheat.special import bessel_i_scaled
+from treeheat.special import IVE_REL_ERR, bessel_i_scaled
 
 
 @lru_cache(maxsize=1)  # one ball at a time: the q = 3 one holds 3.2M vertices
@@ -163,6 +163,16 @@ def test_heat_bound_counts_bessel_error(q):
     strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
     with pytest.raises(NumericalError):
         heat_kernel(q, 0.5, 3, strict)
+
+
+def test_heat_at_the_top_of_the_float_range():
+    # 2 pi x overflowed in the large-argument branch above x ~ 2.9e307
+    got = heat_kernel_many(1, np.array([0, 1, 2]), [1e308])
+    with mp.workdps(40):
+        x = mp.mpf(1e308)
+        for k, value in enumerate(np.ravel(got).tolist()):
+            expect = mp.besseli(k, x) * mp.exp(-x)
+            assert float(abs(mp.mpf(value) - expect)) <= IVE_REL_ERR * float(expect), k
 
 
 def wave_walk_mixture(q, nu, t, k, nmax=800):

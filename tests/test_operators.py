@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -355,3 +356,20 @@ def test_positivity_and_contraction(vals):
     out = apply_kernel(kern, f, ROOT)
     assert out >= -1e-12
     assert out <= max(vals) + 1e-9
+
+
+def test_ball_operator_memory_grows_with_the_ball():
+    # a full explicit f on the radius-9 ball: the cross coefficients take no
+    # (vertices x support) array
+    geom = TreeGeometry(2, 9)
+    xs = enumerate_ball(geom)
+    rng = np.random.default_rng(9)
+    f = TreeFunction.from_table(geom, {w: rng.uniform(-1.0, 1.0) for w in xs})
+    tracemalloc.start()
+    try:
+        op = BallOperator(KernelFamily.heat(), f, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.C.shape == (len(xs), 19)
+    assert peak < 16e6

@@ -2,6 +2,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 
@@ -338,3 +339,52 @@ def test_explicit_table_must_cover_the_ball():
     for p in (1.0, 2.0):
         with pytest.raises(ValueError, match="whole ball"):
             WeightSpec.from_table(geom, p, table)
+    for extra in ((0, 2), (3,), (0, 0, 0, 0, 0)):  # bad labels, then a vertex outside
+        with pytest.raises(ValueError, match="whole ball"):
+            WeightSpec.from_table(geom, 2.0, {**table, (0, 1): 1.0, extra: 1.0})
+        with pytest.raises(ValueError, match="whole ball"):
+            WeightSpec.from_table(geom, 2.0, {**table, extra: 1.0})  # as many as the ball
+
+
+def _noisy_table(radius, seed):
+    rng = np.random.default_rng(seed)
+    words = enumerate_ball(TreeGeometry(2, radius))
+    noise = np.exp(0.3 * rng.standard_normal(len(words)))
+    return {w: float(2.0 ** (-0.5 * len(w)) * n) for w, n in zip(words, noise)}
+
+
+def _explicit_statistics(geom, table):
+    out = []
+    for p in (1.0, 1.5, 2.0):
+        u = WeightSpec.from_table(geom, p, table)
+        for x in (ROOT, (2,), (1, 0)):
+            out += [check_thm1_i(u, 1.0, x).statistic, check_thm2_i(u, 0.5, x).statistic,
+                    check_thm3_g(u, 1.0, x).statistic]
+    return out
+
+
+def test_explicit_statistics_ignore_key_order_and_label_type():
+    # a table is summed in ball order whatever order or label type it comes in
+    geom = TreeGeometry(2, 9)
+    table = _noisy_table(9, 0)
+    expect = _explicit_statistics(geom, table)
+    assert len(expect) == 27
+    reversed_keys = dict(reversed(list(table.items())))
+    int64_labels = {tuple(np.int64(c) for c in w): v for w, v in reversed_keys.items()}
+    for variant in (reversed_keys, int64_labels):
+        assert _explicit_statistics(geom, variant) == expect
+
+
+def test_explicit_checks_never_call_distance(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distance called for an explicit table")
+
+    monkeypatch.setattr(treeheat.geometry, "distance", forbidden)
+    monkeypatch.setattr(treeheat.weights, "distance", forbidden, raising=False)
+    geom = TreeGeometry(2, 6)
+    for p in (1.0, 2.0):
+        u = WeightSpec.from_table(geom, p, _noisy_table(6, 2))
+        for x in (ROOT, (1,), (2, 1, 0)):
+            check_thm1_i(u, 1.0, x)
+            check_thm2_i(u, 1.0, x)
+            check_thm3_g(u, 1.0, x)
