@@ -27,7 +27,8 @@ The stable and wave families and L^{alpha/2} are summed on it:
 Every term is positive, so each value keeps its relative accuracy at any k
 and t. For the stable and wave families the ground spherical function bounds
 the walk, v_n(k) <= phi0(k) = (1 + k (q-1)/(q+1)) q^{-k/2}, so the terms
-beyond N sum to at most phi0(k) rho^{N+1}; N is the first index where that
+beyond N sum to at most phi0(k) rho^{N+1} P(N' > N), N' the walk length of
+the family's mixing law (P(N' = n) = w_n); N is the first index where that
 is 1e-3 rel_tol of the partial sum. Each value carries that tail plus a
 rounding bound, checked against the QuadratureSpec. The radial kernel of
 L^{alpha/2} (fractional_kernel) is a walk mixture of one sign, certified
@@ -35,7 +36,8 @@ the same way.
 
 kernel_block(q, family, ts, kmax) gives K[j, i] = K_{ts[i]}(j) for a whole
 block of times: one heat_kernel_many call, one Bessel grid, over every (j, t)
-for heat, one weight stream for all times of a stable block. tabulate is one
+for heat, one weight stream for all times of a stable or wave block, which
+a time leaves once its values are done (_mix). tabulate is one
 column plus a bound on the mass beyond the ball from the w_n alone
 (_mass_beyond).
 
@@ -65,8 +67,8 @@ from scipy.special import gammainc, gammaincc, kve
 from .errors import NumericalError
 from .geometry import TreeGeometry, sphere_size
 from .quadrature import _WG15, _WK, _XK, DEFAULT_SPEC, QuadratureSpec, kronrod_error
-from .special import (IVE_ABS_ERR, IVE_REL_ERR, bessel_i_scaled, log_y_density,
-                      stable_exponent_constant)
+from .special import (IVE_ABS_ERR, IVE_REL_ERR, KVE_REL_ERR, bessel_i_scaled,
+                      log_y_density, stable_exponent_constant)
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
@@ -279,13 +281,33 @@ def heat_kernel_many(q: int, k, s, spec: QuadratureSpec = DEFAULT_SPEC):
     return values
 
 
-_BLOCK = 256  # weights are made and summed this many rows at a time
+_BLOCK = 64  # weights are made, summed and retired this many rows at a time
+_RESCALE_T = 256.0 * _LN2 - 1.0  # below this t, e_n = W_n e^t never reaches 2^256
+_CHERNOFF = 2.0 * _LN2 - 1.0  # P(Poisson(n/2) > n) <= e^{-(n/2)(2 ln 2 - 1)}
+_LOG_MARKOV = math.log1p(-math.exp(-1.0))  # P(S > s) <= E(1 - e^{-S/s})/(1 - 1/e)
+
+
+def _law_tail(c0, p: float, err0, n):
+    """min(1, e^{c0} n^-p + e^{-(n/2)(2 ln 2 - 1)}) at every row n of a block,
+    for each time (c0 and err0 hold a row per time): a bound on P(N > n) for a
+    walk length N that is Poisson(S), where e^{c0} n^-p bounds P(S > n/2) and
+    the second term is Chernoff's bound on P(Poisson(n/2) > n). It is raised
+    by its rounding: err0, the error of c0, and that of the rest at the
+    block's last row; a bound that underflows counts as the smallest normal
+    number."""
+    x = (0.5 * _CHERNOFF) * n
+    with np.errstate(divide="ignore", over="ignore"):
+        raw = np.exp(c0 - p * np.log(n)) + np.exp(-x)
+    top = max(float(n[-1]), 1.0)
+    slack = err0 + (3.0 * p * math.log(top) + _CHERNOFF * top + 4.0) * _EPS
+    return np.minimum(1.0, raw * (1.0 + 2.0 * slack) + _TINY)
 
 
 def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK):
-    """Blocks W[i, n] of `rows` weights W_n = w_n rho^n for P_t^alpha at every
-    t = ts[i], each with a bound on the relative error of every weight; the
-    stream is endless.
+    """Blocks (W, err, tail) of `rows` weights W_n = w_n rho^n for P_t^alpha
+    at every t = ts[i], with a bound on the relative error of every weight
+    and one on P(N > n); the stream is endless. Sent a mask over its rows
+    (blocks.send(keep)), it drops the rows that are False from then on.
 
     The W_n are the Taylor coefficients of exp(-t (1 - rho z)^beta), beta =
     alpha/2. With c_m = -t (-1)^m binom(beta, m) > 0 for m >= 1,
@@ -293,22 +315,32 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK
     a sum of positive terms. The recurrence runs on e_n = W_n e^t from e_0 = 1,
     since e^{-t} is subnormal at t = 720 and 0 at t = 800. Every 8 steps a row
     whose newest entry has passed 2^256 is scaled by 2^-256, exactly (an entry
-    is below 3t/n times the largest before it), and each W_n is written as it
-    is made, at the scale of the moment. Each time's row of e is stored newest
-    first, so each step is numpy's pairwise sum of one contiguous row of
-    products: a weight has the same bits alone and in any batch, however far
-    the stream is read and in blocks of any length.
+    is below 3t/n times the largest before it); while every time is below
+    256 ln 2 - 1 the test is skipped, as e_n <= e^t stays below 2^256 there.
+    The W_n are written once per block and before each rescale, each at the
+    scale it was made at. Each time's row of e is stored newest first, so
+    each step is numpy's pairwise sum of one contiguous row of products: a
+    weight has the same bits alone and in any batch, however far the stream
+    is read, in blocks of any length and with any rows dropped.
 
     Rounding, to first order: a_m = m c_m rho^m is good to (4m + 2) eps; a
     product, numpy's pairwise sum of n terms (at most log2 n + 26 roundings)
     and the division add log2 n + 28. Since every term is positive, induction
     on n gives (log2 n + 34) n eps, and e^{-t} = g 2^-E adds (t + 2) eps.
+
+    The mixing law: sum_n w_n z^n = E z^N for N Poisson(S), S the
+    beta-stable subordinator at t (E e^{-lam S} = e^{-t lam^beta}). So
+    P(N > n) <= P(S > n/2) + P(Poisson(n/2) > n), with P(S > s) <=
+    (1 - e^{-t s^-beta})/(1 - 1/e) <= t s^-beta/(1 - 1/e) by Markov's
+    inequality on 1 - e^{-S/s} (_law_tail).
     """
     beta = 0.5 * alpha
     exp2 = [math.ceil(t / _LN2) for t in ts.tolist()]
     g = np.array([math.exp(x * _LN2 - t) for x, t in zip(exp2, ts.tolist())])  # e^-t = g 2^-exp2
     scale = -np.array(exp2, dtype=np.int64)  # W_n = e_n g 2^scale, with the rescales made so far
-    neg_t = -ts[:, None]
+    log_t = np.array([[math.log(t)] for t in ts.tolist()])
+    c0 = log_t + (beta * _LN2 - _LOG_MARKOV)  # P(S > n/2) <= e^{c0} n^-beta
+    err0 = 4.0 * (np.abs(log_t) + 1.0) * _EPS
     # e_j sits at er[:, cap - 1 - j], so e_{i-1}, ..., e_0 is er[:, cap - i:]
     a = er = np.zeros((len(ts), 0))
     cap = n = 0
@@ -316,25 +348,35 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK
         hi = n + rows
         if hi > cap:
             m = np.arange(1.0, 2 * hi)
-            a = neg_t * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[:, m-1] = m c_m rho^m
+            a = -ts[:, None] * m * np.cumprod((m - 1.0 - beta) / m * rho)  # a[:, m-1] = m c_m rho^m
             grown = np.empty((len(ts), 2 * hi))
             grown[:, 2 * hi - n :] = er[:, cap - n :]
             er, cap = grown, 2 * hi
         w = np.empty((len(ts), rows))
-        for i in range(n, hi):
+
+        def write(lo, up):  # W_lo, ..., W_{up-1}, at the present scale
+            w[:, lo - n : up - n] = np.ldexp(er[:, cap - up : cap - lo][:, ::-1] * g[:, None],
+                                             scale[:, None])
+
+        if not n:
+            er[:, cap - 1] = 1.0
+        probe, start = ts.max() >= _RESCALE_T, n
+        for i in range(max(n, 1), hi):
             col = cap - 1 - i
-            if not i:
-                er[:, col] = 1.0
-            else:
-                v = np.divide(np.add.reduce(a[:, :i] * er[:, col + 1 :], 1), i, out=er[:, col])
-                if i % 8 == 0 and v.max() > 2.0**256:
-                    big = v > 2.0**256
-                    er[big, col:] = np.ldexp(er[big, col:], -256)
-                    scale[big] += 256
-            np.ldexp(er[:, col] * g, scale, out=w[:, i - n])
+            v = np.divide(np.add.reduce(a[:, :i] * er[:, col + 1 :], 1), i, out=er[:, col])
+            if probe and i % 8 == 0 and v.max() > 2.0**256:
+                write(start, i)
+                big = v > 2.0**256
+                er[big, col:] = np.ldexp(er[big, col:], -256)
+                scale[big] += 256
+                start = i
+        write(start, hi)
         made = np.arange(n, hi)
-        yield w, ((np.log2(made + 1.0) + 34.0) * made + ts[:, None] + 2.0) * _EPS
+        err = ((np.log2(made + 1.0) + 34.0) * made + ts[:, None] + 2.0) * _EPS
+        keep = yield w, err, _law_tail(c0, beta, err0, made)
         n = hi
+        if keep is not None:
+            ts, c0, err0, g, scale, a, er = (x[keep] for x in (ts, c0, err0, g, scale, a, er))
 
 
 def _log_kve(v: float, x: float) -> float:
@@ -347,38 +389,26 @@ def _log_kve(v: float, x: float) -> float:
     return math.log(val)
 
 
-def _wave_weights(nu: float, t: float, rho: float, rows: int = _BLOCK):
-    """Blocks of `rows` weights W_n = 2 (t/2)^{nu+n} K_{n-nu}(t) rho^n /
-    (n! Gamma(nu)) for T_t^nu, each with a bound on the relative error of every
-    weight; the stream is endless.
-
-    W_n = W_{n-1} (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t):
-    from kve while n <= ceil(nu), then r_{n+1} = 1/r_n + 2(n - nu)/t, the
-    upward recurrence K_{m+1} = K_{m-1} + (2m/t) K_m, whose terms are
-    positive for m >= 0. Each W_n is a mantissa in [1/2, 1) times a power of
-    2, so neither (t/2)^n K_{n-nu}(t) nor W_0 ~ e^{-t} leaves the float range.
-    The bound follows the relative error of r_n step by step (kve is taken as
-    good to 16 eps) and adds 6 eps per step for the product.
-    """
+def _wave_rows(nu: float, t: float, rho: float, rows: int):
+    """Blocks of `rows` mantissas, exponents and relative errors of the wave
+    weights W_n = mant 2^exp at one time t (_wave_weights)."""
     n0 = math.ceil(nu)
     log_k = [_log_kve(abs(n - nu), t) for n in range(n0 + 1)]
     parts = (math.log(2.0), nu * math.log(0.5 * t), log_k[0], -t, -math.lgamma(nu))
     log_w0 = math.fsum(parts)
     exp2 = math.floor(log_w0 / _LN2)
     mant = math.exp(log_w0 - exp2 * _LN2)
-    werr = (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 20.0) * _EPS
+    werr = KVE_REL_ERR + (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 4.0) * _EPS
     half = 0.5 * t * rho
     r = rerr = 0.0
     n = 0
     while True:
-        mants = np.empty(rows)
-        exps = np.empty(rows, dtype=np.int64)
-        err = np.empty(rows)
-        for i in range(rows):
+        mants, exps, errs = [], [], []
+        for _ in range(rows):
             if n:
                 if n <= n0:
                     r = math.exp(log_k[n] - log_k[n - 1])
-                    rerr = (abs(log_k[n]) + abs(log_k[n - 1]) + 34.0) * _EPS
+                    rerr = (abs(log_k[n]) + abs(log_k[n - 1]) + 2.0) * _EPS
                 else:
                     inv = 1.0 / r
                     lin = 2.0 * (n - 1 - nu) / t
@@ -387,55 +417,107 @@ def _wave_weights(nu: float, t: float, rho: float, rows: int = _BLOCK):
                 mant, e2 = math.frexp(mant * (half * r / n))
                 exp2 += e2
                 werr += rerr + 6.0 * _EPS
-            mants[i], exps[i], err[i] = mant, exp2, werr
+            mants.append(mant)
+            exps.append(exp2)
+            errs.append(werr)
             n += 1
-        yield np.ldexp(mants, exps), err
+        yield mants, exps, errs
+
+
+def _wave_weights(nu: float, ts, rho: float, rows: int = _BLOCK):
+    """Blocks (W, err, tail) of `rows` weights W_n = 2 (t/2)^{nu+n} K_{n-nu}(t)
+    rho^n / (n! Gamma(nu)) for T_t^nu at every t = ts[i], with a bound on the
+    relative error of every weight and one on P(N > n); the stream is
+    endless. Sent a mask over its rows (blocks.send(keep)), it drops the rows
+    that are False from then on.
+
+    Each time runs its own scalar recurrence (_wave_rows): W_n = W_{n-1}
+    (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t), from kve while
+    n <= ceil(nu), then r_{n+1} = 1/r_n + 2(n - nu)/t, the upward recurrence
+    K_{m+1} = K_{m-1} + (2m/t) K_m, whose terms are positive for m >= 0. Each
+    W_n is a mantissa in [1/2, 1) times a power of 2, so neither (t/2)^n
+    K_{n-nu}(t) nor W_0 ~ e^{-t} leaves the float range. The bound follows
+    the relative error of r_n step by step and adds 6 eps per step for the
+    product. kve's own error (KVE_REL_ERR) is counted once per weight: up to
+    ceil(nu) each kve value enters W_n and the next ratio with opposite signs,
+    so W_n carries that of K_{n-nu} alone, and past it the recurrence is a
+    positive combination of the last two kve values.
+
+    The mixing law: sum_n w_n z^n = 2 (x/2)^nu K_nu(x)/Gamma(nu) at x = t
+    sqrt(1 - z), which is E e^{-(1 - z) S} for S = t^2/(4G), G ~ Gamma(nu);
+    so N is Poisson(S). P(S > n/2) = P(G < t^2/(2n)) <= (t^2/(2n))^nu /
+    Gamma(nu + 1), as the Gamma density is at most v^{nu-1}/Gamma(nu), and
+    P(Poisson(n/2) > n) adds Chernoff's term (_law_tail).
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    streams = [_wave_rows(nu, t, rho, rows) for t in ts.tolist()]
+    lg = math.lgamma(nu + 1.0)
+    log_t = np.array([[math.log(t)] for t in ts.tolist()])
+    c0 = nu * (2.0 * log_t - _LN2) - lg  # P(S > n/2) <= e^{c0} n^-nu
+    err0 = (4.0 * nu * (2.0 * np.abs(log_t) + 1.0) + 4.0 * abs(lg) + 2.0 * np.abs(c0) + 4.0) * _EPS
+    n = 0
+    while True:
+        mants, exps, err = (np.array(x) for x in zip(*(next(s) for s in streams)))
+        keep = yield np.ldexp(mants, exps), err, _law_tail(c0, nu, err0, np.arange(n, n + rows))
+        n += rows
+        if keep is not None:
+            streams = [s for s, live in zip(streams, keep.tolist()) if live]
+            c0, err0 = c0[keep], err0[keep]
 
 
 def _mix(q: int, blocks, times: int, ks, spec: QuadratureSpec):
-    """S[i, k] = sum_{n <= N} W[i, n] v_n(k) over weight blocks (a row per
-    time i), with a bound on the error of each sum.
+    """S[i, k] = sum_{n <= N} W[i, n] v_n(k) over a weight stream (a row per
+    time i, blocks of rows n), with a bound on the error of each sum.
 
-    N is the first n where phi0(k) rho^{n+1}, the bound on the rest, is at
-    most 1e-3 rel_tol of the running sum S_n (or of the smallest normal
-    number, so that a value that underflows ends too); so a value is the same
-    to the bit alone and in a block. The bound adds that tail to the weights'
-    rounding and 5 eps per row for the walk table and the sum.
+    Beside its weights and their rounding, a stream gives a bound on P(N > n)
+    for the mixing law's walk length N (P(N = n) = w_n). As v_m(k) <= phi0(k)
+    and W_m = w_m rho^m, the terms past n sum to at most phi0(k) rho^{n+1}
+    P(N > n). N is the first n where that is at most 1e-3 rel_tol of the
+    running sum S_n (or of the smallest normal number, so that a value that
+    underflows ends too); it depends on (t, k) only, so a value is the same
+    to the bit alone and in a block. After a block in which some time is done,
+    the stream is sent a mask of its rows that still have an open value
+    (blocks.send(keep)) and drops the others; a time leaves the stream within
+    a block of being done. The bound adds that tail to the weights' rounding
+    and 5 eps per row for the walk table and the sum.
     """
     rho = _walk_decay(q)
     ks = np.asarray(ks, dtype=np.int64)
     phi0 = (1.0 + ks * ((q - 1.0) / (q + 1.0))) * float(q) ** (-0.5 * ks)
     walk = _walk_table(q)
-    sums = np.zeros((times, len(ks)))
-    values, bound = np.empty_like(sums), np.empty_like(sums)
-    open_ = np.ones(sums.shape, dtype=bool)
+    values, bound = np.empty((times, len(ks))), np.empty((times, len(ks)))
+    live = np.arange(times)  # the time of each row of the stream
+    sums = np.zeros(values.shape)
+    open_ = np.ones(values.shape, dtype=bool)
+    w, err, mass = next(blocks)
     n = 0
-    while open_.any():
-        w, err = next(blocks)
+    while True:
         rows = w.shape[1]
         table = walk.get(n + rows - 1, int(ks.max()))
         terms = w[:, :, None] * table[n : n + rows, ks]
         terms[:, 0] += sums
         partial = np.cumsum(terms, axis=1)
-        tail = rho ** np.arange(n + 1.0, n + rows + 1.0)[:, None] * phi0
+        tail = rho ** np.arange(n + 1.0, n + rows + 1.0)[:, None] * phi0 * mass[:, :, None]
         done = tail <= 1e-3 * np.maximum(spec.rel_tol * partial, _TINY)
         new = open_ & done.any(axis=1)  # the tail falls and the partial sums grow
-        i, k = np.nonzero(new)
-        first = done[i, :, k].argmax(axis=1)
-        values[i, k] = partial[i, first, k]
-        rounding = err[i, first] + (5.0 * (n + first) + 2.0) * _EPS
-        bound[i, k] = tail[first, k] + rounding * values[i, k]
-        open_ &= ~new
-        sums = partial[:, -1]
+        sums, keep = partial[:, -1], None
+        if new.any():
+            r, k = np.nonzero(new)
+            first = done[r, :, k].argmax(axis=1)
+            i = live[r]
+            values[i, k] = partial[r, first, k]
+            rounding = err[r, first] + (5.0 * (n + first) + 2.0) * _EPS
+            bound[i, k] = tail[r, first, k] + rounding * values[i, k]
+            open_ &= ~new
+            keep = open_.any(axis=1)
+            if not keep.any():
+                return values, bound
+            if keep.all():
+                keep = None
+            else:
+                live, open_, sums = live[keep], open_[keep], sums[keep]
         n += rows
-    return values, bound
-
-
-def _stacked(streams):
-    """The blocks of one weight stream per time, as one stream."""
-    while True:
-        parts = [next(s) for s in streams]
-        yield np.array([w for w, _ in parts]), np.array([e for _, e in parts])
+        w, err, mass = blocks.send(keep)
 
 
 def _log_multiplier(family: KernelFamily, ts: np.ndarray, lam: float) -> np.ndarray:
@@ -453,7 +535,7 @@ def _log_multiplier(family: KernelFamily, ts: np.ndarray, lam: float) -> np.ndar
 
 def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
     """Stable or wave values K[k, i] = K_{ts[i]}(k), q >= 2: one weight stream
-    for all times (stable) or one per time (wave), summed by _mix."""
+    for all times, summed by _mix."""
     rho = _walk_decay(q)
     ts = np.asarray(ts, dtype=float)
     # every value is at most phi0(k) sum_n W_n = phi0(k) phi(1 - rho)
@@ -465,7 +547,7 @@ def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):
     if family.kind == "stable":
         blocks = _stable_weights(family.alpha, ts[live], rho)
     else:
-        blocks = _stacked([_wave_weights(family.nu, t, rho) for t in ts[live].tolist()])
+        blocks = _wave_weights(family.nu, ts[live], rho)
     values, bound = _mix(q, blocks, len(live), ks, spec)
     for i, t in enumerate(ts[live].tolist()):
         _check_bound(values[i], bound[i], spec, f"{family.label()} kernel at q={q}, t={t:g}")
@@ -677,20 +759,26 @@ def _line_mixture(family: KernelFamily, ts, ks, spec: QuadratureSpec):
 
 
 def _binomial_weights(beta: float, rho: float):
-    """Endless blocks of W_n = |binom(beta, n)| rho^n (W_0 = 0), one running
-    product from W_1 = beta rho, each good to (6n + 2) eps."""
-    w = -1.0  # the running product, carried from block to block
+    """Endless blocks (W, err, tail) of W_n = |binom(beta, n)| rho^n (W_0 = 0),
+    one running product from W_1 = beta rho, each good to (6n + 2) eps, and
+    P(N > n) = sum_{m>n} |binom(beta, m)| = |binom(beta - 1, n)| exactly, as
+    (1 - z)^{beta-1} = (1 - z)^beta/(1 - z) has the partial sums of (1 -
+    z)^beta as its coefficients: the running product of (m - beta)/m, raised
+    by its rounding, 3 eps a factor."""
+    w, rest = -1.0, 1.0  # the running products, carried from block to block
     n = 0
     while True:
         m = np.arange(max(n, 1), n + _BLOCK, dtype=float)
         block = np.cumprod(np.concatenate([[w], (m - 1.0 - beta) / m * rho]))
-        w = block[-1]
+        tail = np.cumprod(np.concatenate([[rest], (m - beta) / m]))
+        w, rest = block[-1], tail[-1]
         if n:
-            block = block[1:]
+            block, tail = block[1:], tail[1:]
         else:
             block[0] = 0.0
         rows = np.arange(n, n + _BLOCK)
-        yield block[None, :], ((6.0 * rows + 2.0) * _EPS)[None, :]
+        yield (block[None, :], ((6.0 * rows + 2.0) * _EPS)[None, :],
+               np.minimum(1.0, tail * (1.0 + (3.0 * rows + 2.0) * _EPS))[None, :])
         n += _BLOCK
 
 
@@ -821,9 +909,9 @@ def _mass_beyond(family: KernelFamily, t: float, r: int) -> float:
     if r * _LN2 + float(_log_multiplier(family, ts, 0.5)[0]) < math.log(_EPS):
         return 1.0
     if family.kind == "stable":
-        w, err = next(_stable_weights(family.alpha, ts, 1.0, r + 1))
+        w, err, _ = next(_stable_weights(family.alpha, ts, 1.0, r + 1))
     else:
-        w, err = next(_wave_weights(family.nu, t, 1.0, r + 1))
+        w, err, _ = next(_wave_weights(family.nu, t, 1.0, r + 1))
     w, err = w.ravel(), err.ravel()
     head = math.fsum(w.tolist())
     return min(1.0, max(0.0, 1.0 - head) + float(w @ err) + (r + 2) * _EPS)

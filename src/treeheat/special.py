@@ -26,6 +26,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # for values below about 6e-305
 IVE_REL_ERR = 2.0**12 * _EPS
 IVE_ABS_ERR = 1e-303
+# the relative error of scipy's kve, with margin: against 40-digit mpmath for
+# nu in (0, 12) and x in [1e-3, 1e3] it was at most 2,196 eps off, the worst
+# just below x = 2 with nu near 0.9 (elsewhere mostly under 300 eps)
+KVE_REL_ERR = 2.0**13 * _EPS
 
 
 def bessel_i_scaled(order, x):

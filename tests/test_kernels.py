@@ -545,17 +545,72 @@ def test_kernel_block_columns_are_tables_and_values(q, family):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.99])
-def test_stable_time_alone_equals_block(q, alpha):
-    # one weight stream serves the 64 times of the block; each time's
-    # values must not depend on the others
+@pytest.mark.parametrize(
+    "family",
+    [pytest.param(KernelFamily.stable(a), id=f"{a:g}") for a in (0.5, 1.5, 1.99)]
+    + [pytest.param(KernelFamily.wave(nu), id=f"wave{nu:g}") for nu in (0.75, 2.5)],
+)
+def test_stable_time_alone_equals_block(q, family):
+    # one weight stream serves the 64 times of the block, and a time leaves
+    # it when its values are done, at kmax 40 in different blocks; each
+    # time's values must not depend on the others
     ts = np.geomspace(1e-4, 300.0, 64)
     ts[[0, 40, 63]] = 1e-4, 0.7, 300.0
-    family = KernelFamily.stable(alpha)
-    block = kernel_block(q, family, ts, 3)
-    for i in (0, 40, 63):
-        alone = kernel_block(q, family, [ts[i]], 3)[:, 0]
-        assert np.array_equal(alone, block[:, i]), ts[i]
+    for kmax in (3, 40):
+        block = kernel_block(q, family, ts, kmax)
+        for i in (0, 40, 63):
+            alone = kernel_block(q, family, [ts[i]], kmax)[:, 0]
+            assert np.array_equal(alone, block[:, i]), (kmax, ts[i])
+
+
+_LAW_CASES = [(family, t) for t in (1e-4, 0.5, 30.0, 300.0)
+              for family in [KernelFamily.stable(a) for a in (0.3, 1.0, 1.9)]
+              + [KernelFamily.wave(nu) for nu in (0.75, 2.5)]] + [(None, None)]
+
+
+def _stream(family, t, rho, rows=kernels._BLOCK):
+    """The weight stream of a stable or wave family at one time t, or (family
+    None) the binomial stream of L^{1/4}."""
+    if family is None:
+        return kernels._binomial_weights(0.5, rho)
+    if family.kind == "stable":
+        return kernels._stable_weights(family.alpha, np.array([t]), rho, rows)
+    return kernels._wave_weights(family.nu, t, rho, rows)
+
+
+def _read(stream, rows):
+    """The first `rows` rows of a one-time stream: weights, errors, tails."""
+    parts = []
+    while sum(len(p[0]) for p in parts) < rows:
+        parts.append([np.ravel(x) for x in next(stream)])
+    return [np.concatenate(x)[:rows] for x in zip(*parts)]
+
+
+def test_mixing_law_tail_covers_the_weights():
+    # at rho = 1 the weights are the law of the walk length N itself, so
+    # 1 - sum_{m <= n} w_m is P(N > n), less the weights' rounding
+    for family, t in _LAW_CASES:
+        w, err, tail = _read(_stream(family, t, 1.0, 1001), 1001)
+        assert np.all(tail <= 1.0), (family, t)
+        for n in (0, 1, 10, 100, 1000):
+            head = math.fsum(w[: n + 1].tolist())
+            slack = float(w[: n + 1] @ err[: n + 1]) + (n + 2) * kernels._EPS
+            assert tail[n] >= 1.0 - head - slack, (family, t, n)
+    # the values cut by that tail, against the exact sum of the first 4,000
+    # products: the difference is the summation's rounding and the terms cut
+    for q in (2, 3):
+        rho, rows, ks = kernels._walk_decay(q), 4000, np.arange(13)
+        v = _walk_table(q).get(rows, int(ks[-1]))[:rows, ks]
+        for family, t in _LAW_CASES:
+            if family is not None and (kernels._log_multiplier(family, np.array([t]), 1.0 - rho)[0]
+                                       < math.log(kernels._TINY)):
+                continue  # below the float range: kernel_block gives 0
+            w = _read(_stream(family, t, rho), rows)[0]
+            values, bound = kernels._mix(q, _stream(family, t, rho), 1, ks, DEFAULT_SPEC)
+            if family is not None:
+                assert np.array_equal(values[0], kernel_block(q, family, [t], ks[-1])[:, 0])
+            exact = np.array([math.fsum((w * v[:, k]).tolist()) for k in ks])
+            assert np.all(np.abs(values[0] - exact) <= bound[0]), (q, family, t)
 
 
 def test_radial_convolve_semigroup():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, kve
 
 from reference import RangeError, StableDensityParams, bessel_i, integrate, stable_density
 from treeheat.special import (
     IVE_ABS_ERR,
     IVE_REL_ERR,
+    KVE_REL_ERR,
     _pollard_series,
     bessel_i_scaled,
     eta_bound,
@@ -37,6 +38,20 @@ def test_bessel_i_scaled_against_mpmath(x):
             expect = mp.besseli(k, mp.mpf(x)) * mp.exp(-mp.mpf(x))
             err = float(abs(mp.mpf(value) - expect))
             assert err <= IVE_REL_ERR * float(expect) + IVE_ABS_ERR, k
+
+
+def test_kve_against_mpmath():
+    # the error the wave weights count for scipy's kve: a random sweep, two
+    # points that are off by a few hundred eps and one near the worst seen
+    rng = np.random.default_rng(17)
+    nus = rng.uniform(0.0, 12.0, 200).tolist() + [0.25, 0.72, 0.8969159719906635]
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200)).tolist() + [2.0, 1.39, 1.999]
+    with mp.workdps(40):
+        for nu, x in zip(nus, xs):
+            value = float(kve(nu, x))
+            expect = mp.besselk(mp.mpf(nu), mp.mpf(x)) * mp.exp(mp.mpf(x))
+            err = float(abs(mp.mpf(value) - expect))
+            assert err <= KVE_REL_ERR * abs(value), (nu, x)
 
 
 @pytest.mark.parametrize("x", [2e9, 1e12])
