@@ -55,7 +55,6 @@ downward recurrence in segments of 32 orders from two ive seeds above each
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, NamedTuple
@@ -152,18 +151,16 @@ class _WalkTable:
         self.v = np.zeros((0, 0))
         self.rows = 0
         self.state = np.zeros(0)
-        self.lock = threading.Lock()
 
     def get(self, n_max: int, j_max: int) -> np.ndarray:
         """v with at least rows 0..n_max and columns 0..j_max."""
-        with self.lock:
-            if j_max >= self.v.shape[1]:
-                self.v = np.zeros((64, 32 * (j_max // 32 + 1)))
-                self.v[0, 0] = 1.0
-                self.state, self.rows = self.v[0], 1
-            if n_max >= self.rows:
-                self._extend(n_max + 1)
-            return self.v
+        if j_max >= self.v.shape[1]:
+            self.v = np.zeros((64, 32 * (j_max // 32 + 1)))
+            self.v[0, 0] = 1.0
+            self.state, self.rows = self.v[0], 1
+        if n_max >= self.rows:
+            self._extend(n_max + 1)
+        return self.v
 
     def _extend(self, rows: int) -> None:
         if rows > len(self.v):

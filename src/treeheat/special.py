@@ -4,7 +4,7 @@ f_{alpha,t}(s) = t^(-2/alpha) f_{alpha,1}(s t^(-2/alpha)) by self-similarity.
 log_y_density gives f_{alpha,1} at many points at once, each with an error
 bound: by Pollard's convergent series wherever it certifies 1e-13 of the
 value, and in the left tail, where the series' terms cancel, by Kanter's
-positive integral over (0, pi) on G7/K15 panels placed per point.
+positive integral over (0, pi) on G7/K15 panels shared by cells of ln y.
 """
 
 from __future__ import annotations
@@ -82,56 +82,80 @@ _PEAK_EDGES = np.log([0.5, 1.2, 2.2, 3.5, 5.5, 8.5, 13.0, 20.0, 30.0, 45.0])
 # fixed edges in theta for the shape of A away from its peak
 _THETA_EDGES = np.array([math.pi, math.pi - 0.25, math.pi - 0.6, 2.0, 1.5, 1.0, 0.6, 0.35,
                          0.2, 0.1, 0.05, 0.02, 0.008, 0.003, 0.001])
-_CHUNK = 32  # values of y per vectorized pass
+_CELL = 0.5  # width of the cells of ln u = -g ln y that share one panel set
+_STEP = 0.01  # of the ln A table in ln theta, down from theta = pi
+_CHUNK = 128  # values of y per vectorized pass
 
 
 def _kanter_density(alpha: float, flat: np.ndarray):
-    """y f(y) = (g/pi) int_0^pi v e^-v dphi, v = A(phi) y^-g, g = beta/(1 - beta),
+    """y f(y) = (g/pi) int_0^pi v e^-v dphi, v = A(phi) u, u = y^-g, g = beta/(1 - beta),
     A(phi) = (sin^beta(beta phi) sin^{1-beta}((1-beta) phi) / sin phi)^{1/(1-beta)}
     (Kanter, Ann. Probab. 3, 1975; Nolan, Stoch. Models 13, 1997), at every ln
     y of a flat array. A grows from c1 to infinity at phi = pi, so for large y
-    the mass sits where theta = pi - phi is tiny: G7/K15 panels in ln theta,
-    with edges per y at fixed v - v(0) (from one table of ln A that serves the
-    largest y) and at fixed theta. The error estimate adds the Gauss-Kronrod
-    estimate of every panel and the rounding of each node and of the sum."""
+    the mass sits where theta = pi - phi is tiny: G7/K15 panels in ln theta.
+
+    The values of y share panels by cells of ln u, each _CELL wide: every y
+    of a cell takes the edges placed for the cell's lower ln u, at fixed v -
+    v(0) and at fixed theta, duplicates dropped, so ln A is evaluated once per
+    cell. The edges in v come from a table of ln A on a grid anchored at
+    theta = pi with step _STEP in ln theta, so a value depends on (alpha,
+    ln y) alone, not on the batch.
+
+    The panels stop at the edge where v - v(0) = 45 for the cell's lower ln
+    u. Past it v is at least v_c, its value there, and v_c >= v0 + 45 (v0 =
+    c1 u) for every y of the cell, up to the table's interpolation. Since v
+    e^-v falls for v > 1 and the interval is shorter than pi, the mass left
+    out is at most g m e^-m, m = max(1, min(v_c, v0 + 45)): g (v0 + 45)
+    e^{-(v0 + 45)} wherever v_c >= v0 + 45. The error adds that, the
+    Gauss-Kronrod estimate of every panel and the rounding of each node and
+    of the sum."""
     beta = 0.5 * alpha
     g = beta / (1.0 - beta)
-    log_y_max = max(float(flat.max()), 0.0)
     log_a0 = math.log(stable_exponent_constant(alpha))
-    # the table: ln A decreasing in theta, from where v = 45 at the largest y
-    psi_min = math.log(math.sin(math.pi * beta)) - 10.0 - beta * log_y_max
-    theta = np.exp(np.linspace(psi_min, math.log(math.pi), int(-psi_min / 0.01) + 200))[:-1]
-    tab_log_a = np.append(_log_kanter(beta, math.pi - theta, theta)[0], log_a0)[::-1]
-    tab_theta = np.append(theta, math.pi)[::-1]
-    x0_min = log_a0 - g * log_y_max
-    n_low = max(1, math.ceil(-max(x0_min, -45.0 / beta) / 4.0))
-    s_edges = np.concatenate([[-1.5, -2.5], -4.0 * np.arange(1, n_low + 1), _PEAK_EDGES])
+    log_u = -g * flat
+    cells, which = np.unique(np.floor(log_u / _CELL), return_inverse=True)
+    # the table: ln A increasing as theta falls from pi, to where v = 45 (with
+    # room) at the lowest cell, A ~ (sin(pi beta)/theta)^{1/(1-beta)} there
+    lowest = min(cells[0] * _CELL, 0.0)
+    psi_min = math.log(math.sin(math.pi * beta)) - 10.0 + (1.0 - beta) * lowest
+    rows = math.ceil((math.log(math.pi) - psi_min) / _STEP)
+    theta = np.exp(math.log(math.pi) - _STEP * np.arange(1, rows + 1))
+    tab_log_a = np.append(log_a0, _log_kanter(beta, math.pi - theta, theta)[0])
+    tab_theta = np.append(math.pi, theta)
 
     value, error = np.empty(flat.shape), np.empty(flat.shape)
-    for lo in range(0, len(flat), _CHUNK):
-        log_u = -g * flat[lo : lo + _CHUNK, None]
-        x0 = log_a0 + log_u
-        edge_log_a = np.logaddexp(x0, s_edges) - log_u
-        top = np.interp(edge_log_a, tab_log_a, tab_theta)
-        edges = np.concatenate([top, np.tile(_THETA_EDGES, (len(x0), 1))], axis=1)
-        edges = np.sort(np.clip(edges, top[:, -1:], math.pi), axis=1)
-        log_edges = np.log(edges)
-        half = 0.5 * np.diff(log_edges)[..., None]
-        th = np.exp(0.5 * (log_edges[:, :-1, None] + log_edges[:, 1:, None]) + half * _XK)
+    for i, cell in enumerate(cells.tolist()):
+        cell_log_u = cell * _CELL
+        x0 = log_a0 + cell_log_u
+        n_low = max(1, math.ceil(-max(x0, -45.0 / beta) / 4.0))
+        s_edges = np.concatenate([[-1.5, -2.5], -4.0 * np.arange(1, n_low + 1), _PEAK_EDGES])
+        top = np.interp(np.logaddexp(x0, s_edges) - cell_log_u, tab_log_a, tab_theta)
+        log_edges = np.log(np.unique(np.clip(np.append(top, _THETA_EDGES), top[-1], math.pi)))
+        half = 0.5 * np.diff(log_edges)[:, None]
+        th = np.exp(0.5 * (log_edges[:-1, None] + log_edges[1:, None]) + half * _XK)
+        members = np.flatnonzero(which == i)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
             log_a, size = _log_kanter(beta, math.pi - th, th)
-            x = log_a + log_u[..., None]
-            v = np.exp(x)
-            h = np.where(th < math.pi, np.exp(x - v) * th * half, 0.0)
-            # h's rounding relative to it: x's, times 1 + v in x - e^x, and the exps'
-            rel = (3.0 * size + 9.0 / (1.0 - beta) + 2.0 * np.abs(log_u[..., None])) * (1.0 + v)
-            rel = np.where(th < math.pi, rel + np.abs(x) + 2.0 * v + 8.0, 0.0)
-        kronrod = h @ _WK
-        total = kronrod.sum(axis=1)
-        rounding = ((h * rel) @ _WK).sum(axis=1) + (math.log2(h[0].size) + 4.0) * total
-        value[lo : lo + _CHUNK] = total * (g / math.pi)
-        error[lo : lo + _CHUNK] = (kronrod_error(kronrod, h @ _WG15).sum(axis=1)
-                                   + rounding * _EPS) * (g / math.pi)
+            log_a_last = _log_kanter(beta, math.pi - top[-1], top[-1])[0]
+            for lo in range(0, len(members), _CHUNK):
+                at = members[lo : lo + _CHUNK]
+                lu = log_u[at, None, None]
+                x = log_a + lu
+                v = np.exp(x)
+                h = np.where(th < math.pi, np.exp(x - v) * th * half, 0.0)
+                # h's rounding relative to it: x's, times 1 + v in x - e^x, and the exps'
+                rel = (3.0 * size + 9.0 / (1.0 - beta) + 2.0 * np.abs(lu)) * (1.0 + v)
+                rel = np.where(th < math.pi, rel + np.abs(x) + 2.0 * v + 8.0, 0.0)
+                # past the panels v e^-v <= m e^-m; m <= 800 keeps inf * 0 out
+                m = np.fmin(np.exp(log_a_last + log_u[at]), np.exp(log_a0 + log_u[at]) + 45.0)
+                m = np.clip(m, 1.0, 800.0)
+                kronrod = h @ _WK
+                total = kronrod.sum(axis=1)
+                rounding = (((h * rel) @ _WK).sum(axis=1)
+                            + (math.log2(max(th.size, 1)) + 4.0) * total)
+                value[at] = total * (g / math.pi)
+                error[at] = ((kronrod_error(kronrod, h @ _WG15).sum(axis=1) + rounding * _EPS)
+                             * (g / math.pi) + g * m * np.exp(-m))
     return value, error
 
 
@@ -165,7 +189,9 @@ def _pollard_series(beta: float, flat: np.ndarray):
             total = np.add.reduce(mag * np.where(n % 2 == 1.0, sine, -sine), axis=1)
             u = np.exp(log_u)
             tail = np.where(u * ratio < 1.0, mag[:, -1] * u * last / (1.0 - u * ratio), np.inf)
-            rounding = (mag @ err_fixed + np.abs(log_u) * (mag @ err_log_u)) * _EPS
+            # einsum, not gemv, whose bits depend on the number of rows
+            rounding = (np.einsum("ij,j->i", mag, err_fixed)
+                        + np.abs(log_u) * np.einsum("ij,j->i", mag, err_log_u)) * _EPS
         value[lo : lo + 256] = total / math.pi
         error[lo : lo + 256] = (tail + rounding) / math.pi + 2.0 * _EPS * np.abs(total)
     return value, error

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, kve
 
 from reference import RangeError, StableDensityParams, bessel_i, integrate, stable_density
+from treeheat import kernels
 from treeheat.special import (
     IVE_ABS_ERR,
     IVE_REL_ERR,
     KVE_REL_ERR,
+    _kanter_density,
     _pollard_series,
     bessel_i_scaled,
     eta_bound,
@@ -252,12 +254,62 @@ def test_log_y_density_against_pollard_series(alpha):
         assert e <= 1e-11 * v, (x, e / v)
 
 
+def stable_node_set(alpha):
+    """ln y at every node of the q = 1 stable(alpha) rule, as kernels asks
+    log_y_density for them."""
+    seen = []
+
+    def spy(a, x):
+        seen.append(np.array(x, dtype=float).ravel())
+        return log_y_density(a, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "log_y_density", spy)
+        kernels._stable_mixture(alpha)
+    return np.concatenate(seen)
+
+
+def kanter_nodes(alpha):
+    """The nodes of the stable(alpha) rule that Kanter's quadrature weighs."""
+    log_y = stable_node_set(alpha)
+    value, series_error = _pollard_series(0.5 * alpha, log_y)
+    return log_y[~(series_error <= 1e-13 * value)]
+
+
+@pytest.mark.parametrize("alpha", sorted(SPLIT_POINTS))
+def test_log_y_density_alone_equals_batch(alpha):
+    # a value and its bound depend on (alpha, ln y) only, not on the batch
+    log_y = stable_node_set(alpha)
+    value, error = log_y_density(alpha, log_y)
+    for x, v, e in zip(log_y.tolist(), value.tolist(), error.tolist()):
+        alone = log_y_density(alpha, np.array([x]))
+        assert (alone[0][0], alone[1][0]) == (v, e), x
+
+
+@pytest.mark.parametrize("alpha", sorted(SPLIT_POINTS))
+def test_kanter_error_counts_the_dropped_mass(alpha):
+    # past the panels v >= v0 + 45, so the mass left out is at most
+    # g (v0 + 45) e^{-(v0 + 45)}: on the rule's Kanter nodes, and in the right
+    # tail, where that term outweighs the rest of the bound
+    beta = 0.5 * alpha
+    g = beta / (1.0 - beta)
+    log_a0 = math.log(stable_exponent_constant(alpha))
+    log_y = np.concatenate([kanter_nodes(alpha), [10.0, 100.0, 700.0]])
+    _, error = _kanter_density(alpha, log_y)
+    past = np.exp(log_a0 + -g * log_y) + 45.0
+    assert np.all(error >= g * past * np.exp(-past))
+
+
 def test_log_y_density_alpha_one_closed_form():
-    # Levy: y f(y) = y^{-1/2} e^{-1/(4y)} / (2 sqrt(pi)) for alpha = 1
-    log_y = np.linspace(-3.5, 12.0, 32)
+    # Levy: y f(y) = y^{-1/2} e^{-1/(4y)} / (2 sqrt(pi)) for alpha = 1, on a
+    # grid across the split and at every Kanter node of the stable(1) rule
+    grid = np.linspace(-3.5, 12.0, 32)
+    _, series_error = _pollard_series(0.5, grid)
+    assert 0 < int((series_error <= 1e-13 * log_y_density(1.0, grid)[0]).sum()) < len(grid)
+    nodes = kanter_nodes(1.0)
+    assert len(nodes) == 384
+    log_y = np.concatenate([grid, nodes])
     value, error = log_y_density(1.0, log_y)
-    _, series_error = _pollard_series(0.5, log_y)
-    assert 0 < int((series_error <= 1e-13 * value).sum()) < len(log_y)  # both sides
     with mp.workdps(40):
         for x, v, e in zip(log_y, value, error):
             y = mp.exp(mp.mpf(x))
