@@ -12,26 +12,14 @@ plus a CLI front end.
 
 from .errors import NumericalError
 from .flow import FlowStructure, flow_constant, flow_laplacian, verify_flow_conjugation
-from .geometry import ROOT, TreeGeometry, distance, enumerate_ball, sphere_size
-from .kernels import (
-    KernelFamily,
-    RadialKernel,
-    heat_kernel,
-    kernel_block,
-    kernel_value,
-    stable_kernel,
-    tabulate,
-    wave_kernel,
-)
+from .geometry import ROOT, TreeGeometry, enumerate_ball, sphere_size
+from .kernels import KernelFamily, RadialKernel, kernel_block, tabulate
 from .operators import (
     BallOperator,
     MaximalSpec,
     TreeFunction,
-    apply_kernel,
     fractional_laplacian,
-    heat_apply,
     laplacian,
-    maximal,
     pde_residual,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -62,28 +50,20 @@ __all__ = [
     "TreeFunction",
     "TreeGeometry",
     "VerificationReport",
-    "apply_kernel",
     "check_thm1_i",
     "check_thm2_i",
     "check_thm3_g",
     "companion_weight",
-    "distance",
     "enumerate_ball",
     "flow_constant",
     "flow_laplacian",
     "fractional_laplacian",
-    "heat_apply",
-    "heat_kernel",
     "kernel_block",
-    "kernel_value",
     "laplacian",
-    "maximal",
     "pde_residual",
     "run_check",
     "run_suite",
     "sphere_size",
-    "stable_kernel",
     "tabulate",
     "verify_flow_conjugation",
-    "wave_kernel",
 ]

@@ -64,21 +64,6 @@ def depth(word: Word) -> int:
     return len(word)
 
 
-def distance(u, v, q: int | None = None) -> int:
-    """Tree distance between two words: depths minus twice the lca depth."""
-    if q is not None:
-        u = validate_word(u, q)
-        v = validate_word(v, q)
-    else:
-        u, v = tuple(u), tuple(v)
-    lca = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        lca += 1
-    return len(u) + len(v) - 2 * lca
-
-
 def ball_distances(geom: TreeGeometry, x) -> np.ndarray:
     """d(x, y) for every ball vertex y, in enumerate_ball's order; x may lie
     outside the ball.
@@ -155,11 +140,3 @@ def cross_distance_counts(q: int, k: int, max_i: int):
             if cnt:
                 yield a + r, k - a + r, cnt
 
-
-def radial_distance_counts(q: int, k: int, max_i: int) -> dict[int, dict[int, int]]:
-    """cross_distance_counts grouped as {i: {j: count}}."""
-    table: dict[int, dict[int, int]] = {}
-    for i, j, cnt in cross_distance_counts(q, k, max_i):
-        table.setdefault(i, {})
-        table[i][j] = table[i].get(j, 0) + cnt
-    return table

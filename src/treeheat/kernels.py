@@ -813,39 +813,6 @@ def fractional_kernel(
     return values
 
 
-def heat_kernel(q: int, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """H_t(k) on the degree-(q+1) tree, one value of heat_kernel_many."""
-    _check_time(t)
-    return float(heat_kernel_many(q, k, [t], spec)[0])
-
-
-def _value(q: int, family: KernelFamily, t: float, k: int, spec: QuadratureSpec) -> float:
-    """One stable or wave value: the one-value case of kernel_block."""
-    _check_q(q)
-    _check_time(t)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if q > 1:
-        return float(_walk_mixture(q, family, [t], [k], spec)[0, 0])
-    return float(_line_mixture(family, [t], [k], spec)[0, 0])
-
-
-def stable_kernel(
-    q: int, alpha: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """P_t^alpha(k): the walk mixture for q >= 2, the Kanter time mixture for
-    q = 1."""
-    return _value(q, KernelFamily.stable(alpha), t, k, spec)
-
-
-def wave_kernel(
-    q: int, nu: float, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """T_t^nu(k): the walk mixture for q >= 2, the Gamma time mixture for
-    q = 1."""
-    return _value(q, KernelFamily.wave(nu), t, k, spec)
-
-
 def comparator_Z(alpha: float, t: float, k: int) -> float:
     """The closed-form comparison kernel t |k|^(-1-alpha) on the line (1 at 0)."""
     if not 0.0 < alpha < 2.0:
@@ -855,14 +822,6 @@ def comparator_Z(alpha: float, t: float, k: int) -> float:
     if k == 0:
         return 1.0
     return t * float(abs(k)) ** (-1.0 - alpha)
-
-
-def kernel_value(
-    q: int, family: KernelFamily, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    if family.kind == "heat":
-        return heat_kernel(q, t, k, spec)
-    return _value(q, family, t, k, spec)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ over the sphere of radius j around x: K_t f(x) = sum_j C[x, j] K_t(j). The
 ball operator builds C once for all its vertices and multiplies it, over j
 in order, by a block K[j, i] = K_{t_i}(j) (kernels.kernel_block). Its
 maximal function takes the max over the grid's columns, then refines every
-vertex in step, one block per golden-section step; apply_kernel, maximal and
-fractional_laplacian (with kernels.fractional_kernel) use the same C.
+vertex in step, one block per golden-section step; fractional_laplacian (with
+kernels.fractional_kernel) uses the same C. For radial f, C comes from the
+distance census (geometry.cross_distance_counts).
 """
 from __future__ import annotations
 
@@ -22,13 +23,13 @@ from .geometry import (
     TreeGeometry,
     Word,
     ball_distances,
+    cross_distance_counts,
     depth,
     enumerate_ball,
     neighbors,
-    radial_distance_counts,
     validate_word,
 )
-from .kernels import KernelFamily, RadialKernel, fractional_kernel, kernel_block
+from .kernels import KernelFamily, fractional_kernel, kernel_block
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 
@@ -110,17 +111,20 @@ def laplacian(f: TreeFunction, x) -> float:
 
 
 def _radial_cross(f: TreeFunction, k: int) -> np.ndarray:
-    """C[x, j] for a radial f at any x with d(o, x) = k, from the distance census."""
+    """C[x, j] for a radial f at any x with d(o, x) = k: one bincount over the
+    distance census, each C[x, j] summed over i ascending.
+
+    Each (i, j) occurs once in the census; its count q^r can pass int64, so it
+    turns into a float before numpy sees it.
+    """
     sup = f.support_radius()
     if sup < 0:
         return np.zeros(1)
-    c = np.zeros(k + sup + 1)
-    for i, row in radial_distance_counts(f.geom.q, k, sup).items():
-        fi = f.radial[i]
-        if fi != 0.0:
-            for j, cnt in row.items():
-                c[j] += cnt * fi
-    return c
+    terms = sorted(((i, j, float(n) * f.radial[i])
+                    for i, j, n in cross_distance_counts(f.geom.q, k, sup)
+                    if f.radial[i] != 0.0), key=lambda term: term[0])
+    _, j, w = zip(*terms)
+    return np.bincount(j, w, minlength=k + sup + 1)
 
 
 def _cross_matrix(f: TreeFunction, xs) -> np.ndarray:
@@ -176,14 +180,6 @@ def radial_convolve(q: int, a, b, k: int) -> float:
     return float(_combine(c[None, :], np.asarray(b, dtype=float)[: len(c), None])[0, 0])
 
 
-def heat_apply(q: int, f: TreeFunction, x, t, spec: QuadratureSpec = DEFAULT_SPEC):
-    """W_t f(x) for an array of times t, by exact radial summation."""
-    if q != f.geom.q:
-        raise ValueError("q differs from the tree of f")
-    out = BallOperator(KernelFamily.heat(), f, [x], spec).block(np.atleast_1d(t))[0]
-    return out if np.ndim(t) else float(out[0])
-
-
 def fractional_laplacian(
     f: TreeFunction, alpha: float, x, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
@@ -191,20 +187,6 @@ def fractional_laplacian(
     C = _cross_matrix(f, [validate_word(x, f.geom.q)])
     kern = fractional_kernel(f.geom.q, alpha, C.shape[1] - 1, spec)
     return float(_combine(C, kern[:, None])[0, 0])
-
-
-def apply_kernel(kernel: RadialKernel, f: TreeFunction, x) -> float:
-    """sum_y K_t(d(x, y)) f(y), exact over the finite support of f."""
-    if kernel.geom.q != f.geom.q:
-        raise ValueError("kernel and function live on different trees")
-    C = _cross_matrix(f, [validate_word(x, f.geom.q)])
-    needed = max(np.flatnonzero(C[0]).tolist(), default=0)
-    if needed > kernel.geom.radius:
-        raise ValueError(
-            f"support of f reaches distance {needed} from x; kernel table "
-            f"radius {kernel.geom.radius} is insufficient (need >= {needed})"
-        )
-    return float(_combine(C[:, : needed + 1], np.array(kernel.values)[:, None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -296,17 +278,7 @@ class BallOperator:
         return best_v, best_t
 
 
-def maximal(
-    family: KernelFamily,
-    f: TreeFunction,
-    x,
-    mspec: MaximalSpec,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-):
-    """Certified lower bound for sup_{0<t<R} |K_t f(x)| and its witness time:
-    BallOperator.maximal at one vertex."""
-    values, times = BallOperator(family, f, [x], spec).maximal(mspec)
-    return float(values[0]), float(times[0])
+_FRACTIONAL_MARGIN = 40
 
 
 def pde_residual(
@@ -316,13 +288,12 @@ def pde_residual(
     t: float,
     h: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    fractional_margin: int = 40,
 ) -> float:
     """Central finite-difference residual of the family's evolution equation.
 
     heat:   d_t u + L u
     stable: d_t u + L^{a/2} u   (fractional term on a truncation of u with
-            `fractional_margin` extra shells; adequate for q >= 2 where the
+            _FRACTIONAL_MARGIN extra shells; adequate for q >= 2 where the
             kernel tail decays superexponentially in the margin)
     wave:   d_tt u + ((1-2 nu)/t) d_t u - L u
     Contract: O(h^2) as h -> 0 for fixed (t, x).
@@ -335,7 +306,7 @@ def pde_residual(
     if family.kind == "stable":
         if not f.is_radial:
             raise ValueError("stable residual implemented for radial data")
-        m = depth(x) + max(f.support_radius(), 0) + fractional_margin
+        m = depth(x) + max(f.support_radius(), 0) + _FRACTIONAL_MARGIN
         spine = BallOperator(family, f, [(0,) * k for k in range(m + 1)], spec)
         up, u0, um = (spine.apply(tv) for tv in (t + h, t, t - h))
         dudt = (up[depth(x)] - um[depth(x)]) / (2.0 * h)

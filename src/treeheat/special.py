@@ -10,7 +10,6 @@ positive integral over (0, pi) on G7/K15 panels shared by cells of ln y.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, ive
@@ -162,6 +161,21 @@ def _kanter_density(alpha: float, flat: np.ndarray):
 _TERMS = 80  # of Pollard's series, summed for 256 values of y per pass
 
 
+def _pollard_sines(beta: float) -> np.ndarray:
+    """sin(pi beta n) for n = 1..80, as (-1)^m sin(pi d) with beta n = m + d,
+    m an integer nearest beta n (at a tie either gives the same sine) and d =
+    r/den exact: beta = num/den, and num n - m den = r is reduced in Python's
+    integers."""
+    num, den = beta.as_integer_ratio()
+    sine = []
+    for n in range(1, _TERMS + 1):
+        m, r = divmod(num * n, den)
+        if 2 * r > den:
+            m, r = m + 1, r - den
+        sine.append((-1) ** m * math.sin(math.pi * (r / den)))
+    return np.array(sine)
+
+
 def _pollard_series(beta: float, flat: np.ndarray):
     """y f(y) = (1/pi) sum_n (-1)^{n+1} M_n sin(pi beta n), M_n = Gamma(n beta
     + 1)/n! u^n, u = y^-beta (Pollard, Bull. AMS 52, 1946), to n = 80, at every
@@ -174,8 +188,7 @@ def _pollard_series(beta: float, flat: np.ndarray):
     per term."""
     n = np.arange(1.0, _TERMS + 1.0)
     lg_top, lg_bottom = gammaln(n * beta + 1.0), gammaln(n + 1.0)
-    exact = [Fraction(beta) * k for k in range(1, _TERMS + 1)]  # beta n = m + d, |d| <= 1/2
-    sine = np.array([(-1) ** round(x) * math.sin(math.pi * float(x - round(x))) for x in exact])
+    sine = _pollard_sines(beta)
     # each term's error and share of the sum's, in eps |M_n sin|: err_fixed + |ln u| err_log_u
     err_fixed = (3.0 * (np.abs(lg_top) + lg_bottom + 4.0) + 3.0 + _TERMS) * np.abs(sine)
     err_log_u = 3.0 * n * np.abs(sine)
@@ -210,10 +223,10 @@ def log_y_density(alpha: float, log_y):
     return value.reshape(log_y.shape), error.reshape(log_y.shape)
 
 
-def eta_bound(alpha: float, t: float, u: float, lower_const: float = 1.0,
-              upper_const: float = 1.0):
+def eta_bound(alpha: float, t: float, u: float) -> float:
     """Two-branch comparison profile for the subordinator density at (t, u),
-    scaled by the two constants: (lower, upper). The branches meet at u = t^(2/alpha)."""
+    which bounds it from both sides up to constants. The branches meet at
+    u = t^(2/alpha)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if t <= 0.0 or u <= 0.0:
@@ -224,4 +237,4 @@ def eta_bound(alpha: float, t: float, u: float, lower_const: float = 1.0,
         profile = t ** (1.0 / (2.0 - alpha)) * u ** (-(4.0 - alpha) / (4.0 - 2.0 * alpha)) * expo
     else:
         profile = t * u ** (-1.0 - alpha / 2.0) * expo
-    return lower_const * profile, upper_const * profile
+    return profile

@@ -275,8 +275,8 @@ def _check_eta_domination(spec, c):
     rows = []
     consts = {}
     for alpha in c.alphas:
-        den = [eta_bound(alpha, c.a, u)[0] for u in c.us]
-        ratios = [eta_bound(alpha, t, u)[0] / d
+        den = [eta_bound(alpha, c.a, u) for u in c.us]
+        ratios = [eta_bound(alpha, t, u) / d
                   for t in c.ts if c.a <= t <= c.b for u, d in zip(c.us, den) if d > 0]
         consts[f"C_alpha_{alpha:g}"] = max([0.0, *ratios])
         rows.append({"alpha": alpha, "C": consts[f"C_alpha_{alpha:g}"]})

@@ -1,6 +1,7 @@
 """Numerics that only the tests use as references: the unscaled Bessel
-function, the stable subordinator density at any time, and adaptive
-Gauss-Kronrod quadrature with vectorized integrands.
+function, the stable subordinator density at any time, tree distance by
+common prefix, one kernel value computed alone, and adaptive Gauss-Kronrod
+quadrature with vectorized integrands.
 
 Integrands must accept numpy arrays of abscissae. Semi-infinite domains
 [a, inf) are mapped onto a finite interval through u = x / (1 + x) before
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ive
 
+from treeheat import kernels
 from treeheat.errors import NumericalError
 from treeheat.quadrature import _WG, _WK, _XK, DEFAULT_SPEC, QuadratureSpec
 from treeheat.special import log_y_density
@@ -67,6 +69,28 @@ def stable_density(params: StableDensityParams, s):
         log_y = np.log(s[live] * scale)
         out[live] = log_y_density(params.alpha, log_y)[0] * np.exp(-log_y) * scale
     return float(out) if out.ndim == 0 else out
+
+
+def distance(u, v) -> int:
+    """Tree distance between two words: depths minus twice the lca depth."""
+    u, v = tuple(u), tuple(v)
+    lca = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        lca += 1
+    return len(u) + len(v) - 2 * lca
+
+
+def one_value(q: int, family, t: float, k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """K_t(k) made alone, by the route kernel_block takes for it: heat_kernel_many
+    for heat, the walk mixture at q >= 2 and the line mixture at q = 1 for
+    stable and wave. A block's value must have the same bits."""
+    if family.kind == "heat":
+        return float(kernels.heat_kernel_many(q, k, [t], spec)[0])
+    if q > 1:
+        return float(kernels._walk_mixture(q, family, [t], [k], spec)[0, 0])
+    return float(kernels._line_mixture(family, [t], [k], spec)[0, 0])
 
 
 # panels whose integrand mass is below abs_tol times this are dropped from

@@ -15,7 +15,7 @@ from treeheat.cli import (
     parse_word,
     quadrature_from_env,
 )
-from treeheat.kernels import comparator_Z
+from treeheat.kernels import KernelFamily, comparator_Z, kernel_block
 
 
 def run(args, capsys):
@@ -114,11 +114,10 @@ def test_apply_roundtrip(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "index,word,value"
     assert len(rows) == 1 + 7  # ball of radius 3 in Z
-    from treeheat.kernels import heat_kernel
-
     first = rows[1].split(",")
     assert first[1] == ""
-    assert float(first[2]) == pytest.approx(heat_kernel(1, 1.0, 0), rel=1e-12)
+    expect = kernel_block(1, KernelFamily.heat(), [1.0], 0)[0, 0]
+    assert float(first[2]) == pytest.approx(expect, rel=1e-12)
 
 
 def test_apply_unknown_vertex_is_usage_error(tmp_path, capsys):

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from ball import ball_adjacency
+from reference import distance
 from treeheat.geometry import (
     ROOT,
     TreeGeometry,
     ball_distances,
     cross_distance_counts,
     depth,
-    distance,
     enumerate_ball,
     neighbors,
-    radial_distance_counts,
     sphere_size,
     validate_word,
 )
@@ -26,6 +25,7 @@ def test_distance_matches_bfs(q, radius):
     verts, _, adj = ball_adjacency(geom)
     d = shortest_path(adj, method="D", unweighted=True)
     for i, u in enumerate(verts):
+        assert ball_distances(geom, u).tolist() == d[i].astype(int).tolist(), u
         for j, v in enumerate(verts):
             assert distance(u, v) == int(d[i, j])
 
@@ -70,12 +70,12 @@ def test_enumerate_ball_order():
 @pytest.mark.parametrize("q", [1, 2, 4])
 def test_neighbors(q):
     geom = TreeGeometry(q, 4)
+    index = {w: i for i, w in enumerate(enumerate_ball(geom))}
     for v in enumerate_ball(TreeGeometry(q, 3)):
         ns = neighbors(v, q)
         assert len(ns) == q + 1
         assert len(set(ns)) == q + 1
-        for y in ns:
-            assert distance(v, y) == 1
+        assert ball_distances(geom, v)[[index[y] for y in ns]].tolist() == [1] * (q + 1)
 
 
 def test_validate_word_rejects_bad_labels():
@@ -92,20 +92,20 @@ def test_distance_census_against_enumeration(q, k):
     geom = TreeGeometry(q, radius)
     x = tuple([0] * k)
     brute = {}
-    for y in enumerate_ball(geom):
-        i, j = depth(y), distance(x, y)
-        brute.setdefault(i, {})[j] = brute.get(i, {}).get(j, 0) + 1
-    table = radial_distance_counts(q, k, radius)
-    for i in range(radius + 1):
-        assert table.get(i, {}) == brute.get(i, {})
+    for y, j in zip(enumerate_ball(geom), ball_distances(geom, x).tolist()):
+        brute[depth(y), j] = brute.get((depth(y), j), 0) + 1
+    census = list(cross_distance_counts(q, k, radius))
+    assert len({(i, j) for i, j, _ in census}) == len(census)  # each (i, j) once
+    assert {(i, j): n for i, j, n in census} == brute
 
 
-def test_radial_distance_counts_row_sums():
+def test_distance_census_row_sums():
     q, k, r = 2, 3, 6
     geom = TreeGeometry(q, r)
-    table = radial_distance_counts(q, k, r)
-    for i, row in table.items():
-        assert sum(row.values()) == sphere_size(geom, i)
+    rows = {}
+    for i, _, n in cross_distance_counts(q, k, r):
+        rows[i] = rows.get(i, 0) + n
+    assert rows == {i: sphere_size(geom, i) for i in range(r + 1)}
 
 
 @given(
@@ -121,6 +121,10 @@ def test_distance_metric_properties(q, a, b):
         )
 
     u, v = norm(a), norm(b)
-    assert distance(u, v) == distance(v, u)
-    assert (distance(u, v) == 0) == (u == v)
-    assert distance(u, v) <= distance(u, ROOT) + distance(ROOT, v)
+    geom = TreeGeometry(q, 5)
+    index = {w: i for i, w in enumerate(enumerate_ball(geom))}
+    du, dv = ball_distances(geom, u), ball_distances(geom, v)
+    assert du[index[v]] == dv[index[u]]
+    assert (du[index[v]] == 0) == (u == v)
+    assert du[index[v]] <= (du + dv).min()  # the triangle inequality through every w
+    assert du[index[ROOT]] == len(u)

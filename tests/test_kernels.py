@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, kve
+from scipy.special import gammainc, gammaln, kve
 
 from ball import ball_adjacency
 from treeheat import kernels
@@ -19,19 +19,15 @@ from treeheat.kernels import (
     _walk_table,
     comparator_Z,
     fractional_kernel,
-    heat_kernel,
     heat_kernel_many,
     kernel_block,
-    kernel_value,
-    stable_kernel,
     tabulate,
-    wave_kernel,
     write_kernel_csv,
 )
 from treeheat.operators import MaximalSpec, radial_convolve
 from treeheat.errors import NumericalError
 from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
-from reference import StableDensityParams, integrate, stable_density
+from reference import StableDensityParams, distance, integrate, one_value, stable_density
 from treeheat.special import IVE_REL_ERR, bessel_i_scaled
 
 
@@ -68,28 +64,32 @@ def walk_series_heat(q, t, k, radius=None, tol=1e-13):
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
 def test_q1_route_is_scaled_bessel(t):
+    block = kernel_block(1, KernelFamily.heat(), [t], 40)
     for k in range(0, 41, 5):
         expect = float(bessel_i_scaled(k, t))
-        assert heat_kernel(1, t, k) == pytest.approx(expect, abs=1e-14)
+        assert block[k, 0] == pytest.approx(expect, abs=1e-14)
 
 
 @pytest.mark.parametrize("q,t", [(2, 0.25), (2, 1.0), (3, 1.0)])
 def test_heat_kernel_against_walk_series(q, t):
+    block = kernel_block(q, KernelFamily.heat(), [t], 10)
     for k in range(11):
         oracle = walk_series_heat(q, t, k)
-        assert heat_kernel(q, t, k) == pytest.approx(oracle, abs=1e-9)
+        assert block[k, 0] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_heat_kernel_small_time_limits():
-    assert heat_kernel(2, 1e-8, 0) == pytest.approx(1.0, abs=1e-7)
-    assert heat_kernel(2, 1e-8, 3) == pytest.approx(0.0, abs=1e-12)
+    block = kernel_block(2, KernelFamily.heat(), [1e-8], 3)
+    assert block[0, 0] == pytest.approx(1.0, abs=1e-7)
+    assert block[3, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_heat_kernel_many_matches_scalar():
     s = np.array([0.3, 1.0, 7.0])
     vals = heat_kernel_many(2, 4, s)
     for si, vi in zip(s, vals):
-        assert vi == pytest.approx(heat_kernel(2, float(si), 4), rel=1e-10, abs=0.0)
+        alone = kernel_block(2, KernelFamily.heat(), [float(si)], 4)[4, 0]
+        assert vi == pytest.approx(alone, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -154,7 +154,8 @@ def spectral_heat(q, t, k):
      (1000.0, 0), (1000.0, 5)],
 )
 def test_heat_kernel_against_spectral_integral(q, t, k):
-    assert heat_kernel(q, t, k) == pytest.approx(spectral_heat(q, t, k), rel=1e-12, abs=0.0)
+    got = kernel_block(q, KernelFamily.heat(), [t], k)[k, 0]
+    assert got == pytest.approx(spectral_heat(q, t, k), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -162,7 +163,7 @@ def test_heat_bound_counts_bessel_error(q):
     # ive's own error (IVE_REL_ERR, 9e-13) is above a relative tolerance of 1e-16
     strict = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16)
     with pytest.raises(NumericalError):
-        heat_kernel(q, 0.5, 3, strict)
+        kernel_block(q, KernelFamily.heat(), [0.5], 3, strict)
 
 
 def test_heat_at_the_top_of_the_float_range():
@@ -207,9 +208,10 @@ def wave_walk_mixture(q, nu, t, k, nmax=800):
 
 @pytest.mark.parametrize("q,t", [(2, 0.05), (2, 0.5), (3, 1.0)])
 def test_wave_kernel_against_walk_mixture(q, t):
+    block = kernel_block(q, KernelFamily.wave(2.5), [t], 25)
     for k in range(0, 26, 1):
         ref = wave_walk_mixture(q, 2.5, t, k)
-        err = abs(wave_kernel(q, 2.5, t, k) - ref)
+        err = abs(block[k, 0] - ref)
         assert err <= max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * ref), k
 
 
@@ -217,12 +219,9 @@ def test_wave_kernel_against_walk_mixture(q, t):
 def test_non_finite_times_rejected(bad):
     with pytest.raises(ValueError):
         tabulate(TreeGeometry(2, 6), KernelFamily.heat(), bad)
-    with pytest.raises(ValueError):
-        heat_kernel(2, bad, 1)
-    with pytest.raises(ValueError):
-        stable_kernel(2, 1.0, bad, 1)
-    with pytest.raises(ValueError):
-        wave_kernel(2, 0.75, bad, 1)
+    for family in (KernelFamily.heat(), KernelFamily.stable(1.0), KernelFamily.wave(0.75)):
+        with pytest.raises(ValueError):
+            kernel_block(2, family, [bad], 1)
 
 
 def test_heat_kernel_many_rejects_nan():
@@ -234,7 +233,7 @@ def test_heat_kernel_many_rejects_nan():
 def test_heat_kernel_many_rejects_negative_k(q):
     with pytest.raises(ValueError, match="k must be >= 0"):
         heat_kernel_many(q, np.array([[0], [-1]]), [0.5])
-    assert heat_kernel_many(q, 1, [0.5])[0] == heat_kernel(q, 0.5, 1)
+    assert heat_kernel_many(q, 1, [0.5])[0] == kernel_block(q, KernelFamily.heat(), [0.5], 1)[1, 0]
 
 
 def closed_form_half_stable(t, s):
@@ -249,7 +248,7 @@ def test_stable_alpha_one_closed_form_subordination(q, t, k):
 
     expect, _ = integrate(f, 0.0, math.inf, initial_panels=32,
                           breakpoints=[t * t / 4.0, 1.0, 4.0])
-    got = stable_kernel(q, 1.0, t, k)
+    got = kernel_block(q, KernelFamily.stable(1.0), [t], k)[k, 0]
     assert got == pytest.approx(expect, abs=1e-8)
 
 
@@ -275,9 +274,10 @@ def subordinated_stable(q, alpha, t, k):
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
 def test_stable_kernel_against_subordination(q, alpha, t):
+    block = kernel_block(q, KernelFamily.stable(alpha), [t], 20)
     for k in range(21):
         expect = subordinated_stable(q, alpha, t, k)
-        assert stable_kernel(q, alpha, t, k) == pytest.approx(expect, abs=1e-8), k
+        assert block[k, 0] == pytest.approx(expect, abs=1e-8), k
 
 
 def kesten_mckay(q, family, t):
@@ -309,7 +309,7 @@ def test_subordinated_kernels_at_large_time(family, t):
     # the values (1e-35 at t = 300, 1e-87 at t = 800) lie far below abs_tol,
     # and the weight e^{-t} of the first walk step underflows at t = 800
     ref = kesten_mckay(2, family, t)
-    got = kernel_value(2, family, t, 0)
+    got = kernel_block(2, family, [t], 0)[0, 0]
     assert abs(got - ref) <= DEFAULT_SPEC.rel_tol * ref
 
 
@@ -320,9 +320,9 @@ def test_walk_mixture_at_extreme_times(t):
     stable, half = KernelFamily.stable(1.0), KernelFamily.wave(0.5)
     for family in (stable, half, KernelFamily.wave(2.5)):
         expect = 1.0 if t < 1.0 else 0.0
-        assert kernel_value(2, family, t, 0) == pytest.approx(expect, rel=1e-10, abs=0.0)
-    assert kernel_value(2, half, t, 2) == pytest.approx(
-        kernel_value(2, stable, t, 2), rel=1e-10, abs=0.0
+        assert kernel_block(2, family, [t], 0)[0, 0] == pytest.approx(expect, rel=1e-10, abs=0.0)
+    assert kernel_block(2, half, [t], 2)[2, 0] == pytest.approx(
+        kernel_block(2, stable, [t], 2)[2, 0], rel=1e-10, abs=0.0
     )
 
 
@@ -335,7 +335,7 @@ def test_walk_mixture_at_extreme_times(t):
 def test_walk_mixture_alone_equals_table(q, family):
     kern = tabulate(TreeGeometry(q, 20), family, 0.8)
     for k in range(21):
-        assert kernel_value(q, family, 0.8, k) == kern.values[k], k
+        assert one_value(q, family, 0.8, k) == kern.values[k], k
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -428,16 +428,16 @@ def subordinated_wave_line(nu, t, k):
 def test_wave_line_relative_to_value(k):
     # the values fall to 3e-12 at k = 60: far below abs_tol, certified relative
     # to themselves
-    got = wave_kernel(1, 2.5, 1.0, k)
+    got = kernel_block(1, KernelFamily.wave(2.5), [1.0], k)[k, 0]
     assert got == pytest.approx(subordinated_wave_line(2.5, 1.0, k), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("q,t", [(1, 0.3), (2, 0.7)])
 def test_wave_half_equals_stable_one(q, t):
+    wave = kernel_block(q, KernelFamily.wave(0.5), [t], 15)
+    stable = kernel_block(q, KernelFamily.stable(1.0), [t], 15)
     for k in range(0, 16, 3):
-        assert wave_kernel(q, 0.5, t, k) == pytest.approx(
-            stable_kernel(q, 1.0, t, k), rel=1e-9, abs=0.0
-        )
+        assert wave[k, 0] == pytest.approx(stable[k, 0], rel=1e-9, abs=0.0)
 
 
 def test_comparator_Z_values():
@@ -446,18 +446,6 @@ def test_comparator_Z_values():
     assert comparator_Z(0.8, 0.25, -3) == pytest.approx(0.25 * 3.0**-1.8)
     with pytest.raises(ValueError):
         comparator_Z(2.0, 0.5, 1)
-
-
-def test_kernel_value_dispatch():
-    assert kernel_value(2, KernelFamily.heat(), 1.0, 2) == pytest.approx(
-        heat_kernel(2, 1.0, 2), rel=1e-12
-    )
-    assert kernel_value(2, KernelFamily.stable(1.0), 0.5, 1) == pytest.approx(
-        stable_kernel(2, 1.0, 0.5, 1), rel=1e-12
-    )
-    assert kernel_value(2, KernelFamily.wave(1.0), 0.5, 1) == pytest.approx(
-        wave_kernel(2, 1.0, 0.5, 1), rel=1e-12
-    )
 
 
 def test_family_validation():
@@ -516,8 +504,8 @@ def test_tail_bound_covers_the_missing_mass(q, family):
     [lambda q: kernel_block(q, KernelFamily.heat(), [0.5], 3),
      lambda q: kernel_block(q, KernelFamily.stable(1.0), [0.5], 3),
      lambda q: heat_kernel_many(q, 1, [0.5]),
-     lambda q: heat_kernel(q, 0.5, 1),
-     lambda q: stable_kernel(q, 1.0, 0.5, 1),
+     lambda q: kernel_block(q, KernelFamily.heat(), [0.5], 1)[1, 0],
+     lambda q: kernel_block(q, KernelFamily.stable(1.0), [0.5], 1)[1, 0],
      lambda q: fractional_kernel(q, 1.0, 3)],
     ids=["heat-block", "stable-block", "heat-many", "heat", "stable", "fractional"],
 )
@@ -541,7 +529,7 @@ def test_kernel_block_columns_are_tables_and_values(q, family):
     for i, t in enumerate(ts):
         assert tuple(block[:, i]) == tabulate(TreeGeometry(q, radius), family, t).values
         for k in (0, 1, radius):
-            assert block[k, i] == kernel_value(q, family, t, k), (t, k)
+            assert block[k, i] == one_value(q, family, t, k), (t, k)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -563,9 +551,13 @@ def test_stable_time_alone_equals_block(q, family):
             assert np.array_equal(alone, block[:, i]), (kmax, ts[i])
 
 
+# stable(0.3) at small t: the Markov term e^{c0} n^-p of the law tail is
+# within a factor 2 of P(N > n); wave(20) at small t: Chernoff's term is the
+# larger one at every row read
 _LAW_CASES = [(family, t) for t in (1e-4, 0.5, 30.0, 300.0)
               for family in [KernelFamily.stable(a) for a in (0.3, 1.0, 1.9)]
-              + [KernelFamily.wave(nu) for nu in (0.75, 2.5)]] + [(None, None)]
+              + [KernelFamily.wave(nu) for nu in (0.75, 2.5)]] + [
+    (KernelFamily.wave(20.0), t) for t in (0.05, 5.0)] + [(None, None)]
 
 
 def _stream(family, t, rho, rows=kernels._BLOCK):
@@ -588,16 +580,22 @@ def _read(stream, rows):
 
 def test_mixing_law_tail_covers_the_weights():
     # at rho = 1 the weights are the law of the walk length N itself, so
-    # 1 - sum_{m <= n} w_m is P(N > n), less the weights' rounding
+    # 1 - sum_{m <= n} w_m is P(N > n), less the weights' rounding, at every n
     for family, t in _LAW_CASES:
         w, err, tail = _read(_stream(family, t, 1.0, 1001), 1001)
         assert np.all(tail <= 1.0), (family, t)
-        for n in (0, 1, 10, 100, 1000):
+        for n in range(1001):
             head = math.fsum(w[: n + 1].tolist())
             slack = float(w[: n + 1] @ err[: n + 1]) + (n + 2) * kernels._EPS
             assert tail[n] >= 1.0 - head - slack, (family, t, n)
+    # where S <= n/2 surely, P(N > n) <= P(Poisson(n/2) > n): Chernoff's term
+    # alone must cover that, at every n
+    n = np.arange(1, 1001)
+    chernoff = kernels._law_tail(np.array([[-np.inf]]), 1.0, 0.0, n)[0]
+    assert np.all(chernoff >= gammainc(n + 1.0, 0.5 * n))
     # the values cut by that tail, against the exact sum of the first 4,000
-    # products: the difference is the summation's rounding and the terms cut
+    # products: the difference is the summation's rounding and the terms cut.
+    # A looser rel_tol cuts at a lower n, where the tail bound is tighter
     for q in (2, 3):
         rho, rows, ks = kernels._walk_decay(q), 4000, np.arange(13)
         v = _walk_table(q).get(rows, int(ks[-1]))[:rows, ks]
@@ -606,11 +604,13 @@ def test_mixing_law_tail_covers_the_weights():
                                        < math.log(kernels._TINY)):
                 continue  # below the float range: kernel_block gives 0
             w = _read(_stream(family, t, rho), rows)[0]
-            values, bound = kernels._mix(q, _stream(family, t, rho), 1, ks, DEFAULT_SPEC)
-            if family is not None:
-                assert np.array_equal(values[0], kernel_block(q, family, [t], ks[-1])[:, 0])
             exact = np.array([math.fsum((w * v[:, k]).tolist()) for k in ks])
-            assert np.all(np.abs(values[0] - exact) <= bound[0]), (q, family, t)
+            for rel_tol in (1e-10, 1e-7, 1e-4, 1e-2):
+                spec = QuadratureSpec(rel_tol=rel_tol)
+                values, bound = kernels._mix(q, _stream(family, t, rho), 1, ks, spec)
+                if family is not None and rel_tol == DEFAULT_SPEC.rel_tol:
+                    assert np.array_equal(values[0], kernel_block(q, family, [t], ks[-1])[:, 0])
+                assert np.all(np.abs(values[0] - exact) <= bound[0]), (q, family, t, rel_tol)
 
 
 def test_radial_convolve_semigroup():
@@ -633,8 +633,6 @@ def test_semigroup_law_materialized_ball_oracle():
     ht = tabulate(geom, KernelFamily.heat(), t)
     hs = tabulate(geom, KernelFamily.heat(), s)
     direct = tabulate(geom, KernelFamily.heat(), t + s)
-    from treeheat.geometry import distance
-
     for k in (0, 1, 3):
         x = tuple([0] * k)
         conv = sum(
@@ -691,7 +689,7 @@ def test_heat_mass_property(q, t):
     st.integers(min_value=0, max_value=12),
 )
 def test_stable_kernel_nonnegative(alpha, t, k):
-    assert stable_kernel(2, alpha, t, k) >= 0.0
+    assert kernel_block(2, KernelFamily.stable(alpha), [t], k)[k, 0] >= 0.0
 
 
 def test_large_sphere_cutoff_zeroes_far_times():

