@@ -337,7 +337,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("maximal", help="truncated maximal operator sweep")
+    text = ("certified lower bound for sup_{0<t<R} |K_t f| at every ball vertex "
+            "(grid plus golden section), with its witness time")
+    p = sub.add_parser("maximal", help=text, description=text)
     p.add_argument("--q", type=int, required=True)
     add_family(p)
     p.add_argument("--R", type=float, required=True)

@@ -112,6 +112,35 @@ def enumerate_ball(geom: TreeGeometry) -> list[Word]:
     return out
 
 
+def ball_positions(geom: TreeGeometry, words) -> np.ndarray:
+    """The index of each word in enumerate_ball(geom), from its labels alone:
+    the size of the ball below its level plus its labels read in mixed radix
+    (q + 1 for the first, q after), one numpy pass per level. A word outside
+    the ball, or one whose index would not fit in int64, raises ValueError."""
+    q = geom.q
+    words = list(words)
+    out = np.empty(len(words), dtype=np.int64)
+    levels: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        levels.setdefault(len(w), []).append(i)
+    for n, at in levels.items():
+        if n > geom.radius:
+            raise ValueError(f"a word of length {n} lies outside the radius-{geom.radius} ball")
+        below = TreeGeometry(q, n - 1).ball_size() if n else 0
+        if below + (q + 1) * q ** max(n - 1, 0) > np.iinfo(np.int64).max:
+            raise ValueError(f"ball positions at level {n} do not fit in int64")
+        try:
+            labels = np.array([words[i] for i in at], dtype=np.int64).reshape(len(at), n)
+        except OverflowError as exc:
+            raise ValueError(f"a label at level {n} is out of range") from exc
+        if n and not (np.all((0 <= labels[:, 0]) & (labels[:, 0] <= q))
+                      and np.all((0 <= labels[:, 1:]) & (labels[:, 1:] < q))):
+            raise ValueError(f"a label at level {n} lies outside 0..{q} (first) or 0..{q - 1}")
+        radix = np.array([q ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+        out[at] = below + labels @ radix
+    return out
+
+
 def cross_distance_counts(q: int, k: int, max_i: int):
     """Joint distance census against the root and a vertex x with d(o, x) = k.
 

@@ -377,25 +377,64 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK
 
 
 def _log_kve(v: float, x: float) -> float:
-    """log(K_v(x) e^x), for 0 < x <= 1e9 (kve is nan above ~1e10). Where kve
-    overflows (v log(2/x) > 709), K_v(x) = Gamma(v)/2 (2/x)^v to relative
-    O(x^{2 min(v, 1)}), below e^{-1400} there."""
+    """log(K_v(x) e^x), for 0 < x <= 1e9 (kve is nan above ~1e10); where kve
+    overflows, from the upward recurrence (_kve_up)."""
     val = float(kve(v, x))
     if math.isinf(val):
-        return math.lgamma(v) - _LN2 + v * math.log(2.0 / x)
+        return _kve_up(v, x)[0]
     return math.log(val)
+
+
+def _kve_up(v: float, x: float):
+    """log(K_v(x) e^x) and the ratios rho_m = K_{m+1}(x) / K_m(x) for m = mu -
+    1, ..., v - 1 (mu = v - floor(v), K_{mu-1} = K_{1-mu}), each with a bound
+    on its error, for x above ~1e-308.
+
+    kve gives the two orders in [0, 1], mu and 1 - mu, which stay finite
+    there; then rho_m = 1/rho_{m-1} + 2m/x, DLMF 10.29.1 in ratios. Its two
+    terms are positive, so a ratio's relative error stays within a few eps
+    of the last one's, and every K_m is a positive combination of the two kve
+    values: kve's own error (KVE_REL_ERR) is left out of the bounds, to be
+    counted once by the caller. log K_v is log K_mu plus the logs of the
+    ratios, summed by fsum."""
+    mu = v - math.floor(v)
+    k_lo, k_mu = float(kve(1.0 - mu, x)), float(kve(mu, x))
+    r, rerr = k_mu / k_lo, _EPS
+    ratios, errs, logs = [r], [rerr], [math.log(k_mu)]
+    log_err = (abs(logs[0]) + 1.0) * _EPS
+    m = mu
+    while m < v - 0.5:
+        inv, lin = 1.0 / r, 2.0 * m / x
+        r = inv + lin
+        rerr = (inv * (rerr + _EPS) + 3.0 * lin * _EPS) / r + _EPS
+        ratios.append(r)
+        errs.append(rerr)
+        logs.append(math.log(r))
+        log_err += rerr + (abs(logs[-1]) + 1.0) * _EPS
+        m += 1.0
+    log_k = math.fsum(logs)
+    return log_k, log_err + abs(log_k) * _EPS, ratios, errs
 
 
 def _wave_rows(nu: float, t: float, rho: float, rows: int):
     """Blocks of `rows` mantissas, exponents and relative errors of the wave
     weights W_n = mant 2^exp at one time t (_wave_weights)."""
     n0 = math.ceil(nu)
-    log_k = [_log_kve(abs(n - nu), t) for n in range(n0 + 1)]
-    parts = (math.log(2.0), nu * math.log(0.5 * t), log_k[0], -t, -math.lgamma(nu))
+    if math.isinf(kve(nu, t)):  # K_nu(t) beyond the float range
+        log_k0, up_err, ratios, errs = _kve_up(nu, t)
+        top = math.floor(nu) + 1  # r_n = K_{nu-n}/K_{nu-n+1} = 1/rho_{nu-n}
+        r_head = [1.0 / ratios[top - n] for n in range(1, n0 + 1)]
+        err_head = [errs[top - n] + _EPS for n in range(1, n0 + 1)]
+    else:
+        log_k = [_log_kve(abs(n - nu), t) for n in range(n0 + 1)]
+        log_k0, up_err = log_k[0], 0.0
+        r_head = [math.exp(log_k[n] - log_k[n - 1]) for n in range(1, n0 + 1)]
+        err_head = [(abs(log_k[n]) + abs(log_k[n - 1]) + 2.0) * _EPS for n in range(1, n0 + 1)]
+    parts = (math.log(2.0), nu * math.log(0.5 * t), log_k0, -t, -math.lgamma(nu))
     log_w0 = math.fsum(parts)
     exp2 = math.floor(log_w0 / _LN2)
     mant = math.exp(log_w0 - exp2 * _LN2)
-    werr = KVE_REL_ERR + (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 4.0) * _EPS
+    werr = KVE_REL_ERR + up_err + (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 4.0) * _EPS
     half = 0.5 * t * rho
     r = rerr = 0.0
     n = 0
@@ -404,8 +443,7 @@ def _wave_rows(nu: float, t: float, rho: float, rows: int):
         for _ in range(rows):
             if n:
                 if n <= n0:
-                    r = math.exp(log_k[n] - log_k[n - 1])
-                    rerr = (abs(log_k[n]) + abs(log_k[n - 1]) + 2.0) * _EPS
+                    r, rerr = r_head[n - 1], err_head[n - 1]
                 else:
                     inv = 1.0 / r
                     lin = 2.0 * (n - 1 - nu) / t
@@ -430,7 +468,8 @@ def _wave_weights(nu: float, ts, rho: float, rows: int = _BLOCK):
 
     Each time runs its own scalar recurrence (_wave_rows): W_n = W_{n-1}
     (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t), from kve while
-    n <= ceil(nu), then r_{n+1} = 1/r_n + 2(n - nu)/t, the upward recurrence
+    n <= ceil(nu) (from _kve_up's ratios where kve(nu, t) overflows), then
+    r_{n+1} = 1/r_n + 2(n - nu)/t, the upward recurrence
     K_{m+1} = K_{m-1} + (2m/t) K_m, whose terms are positive for m >= 0. Each
     W_n is a mantissa in [1/2, 1) times a power of 2, so neither (t/2)^n
     K_{n-nu}(t) nor W_0 ~ e^{-t} leaves the float range. The bound follows

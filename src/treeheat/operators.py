@@ -8,8 +8,10 @@ ball operator builds C once for all its vertices and multiplies it, over j
 in order, by a block K[j, i] = K_{t_i}(j) (kernels.kernel_block). Its
 maximal function takes the max over the grid's columns, then refines every
 vertex in step, one block per golden-section step; fractional_laplacian (with
-kernels.fractional_kernel) uses the same C. For radial f, C comes from the
-distance census (geometry.cross_distance_counts).
+kernels.fractional_kernel) uses the same C. C comes from subtree depth
+profiles in time linear in the ball (_cross_matrix): an explicit f is placed
+in ball order by geometry.ball_positions, and a radial f takes its profiles
+in closed form, without a ball.
 """
 from __future__ import annotations
 
@@ -22,10 +24,8 @@ from .geometry import (
     ROOT,
     TreeGeometry,
     Word,
-    ball_distances,
-    cross_distance_counts,
+    ball_positions,
     depth,
-    enumerate_ball,
     neighbors,
     validate_word,
 )
@@ -110,59 +110,100 @@ def laplacian(f: TreeFunction, x) -> float:
     return f.value(x) - sum(f.value(y) for y in nb) / (f.geom.q + 1.0)
 
 
-def _radial_cross(f: TreeFunction, k: int) -> np.ndarray:
-    """C[x, j] for a radial f at any x with d(o, x) = k: one bincount over the
-    distance census, each C[x, j] summed over i ascending.
-
-    Each (i, j) occurs once in the census; its count q^r can pass int64, so it
-    turns into a float before numpy sees it.
+def _radial_row(q: int, fv: np.ndarray, k: int) -> np.ndarray:
+    """C[x, j] for a radial f (values fv, last one nonzero) at every x with
+    d(o, x) = k, from the depth profiles in closed form: D_v[d] = q^d f(|v| +
+    d), (q + 1) q^(d - 1) f(d) at the root. The path vertices are taken from
+    the root down, so each C[x, j] adds its terms by distance from o
+    ascending; a count q^r can pass int64, so it turns into a float in Python.
     """
-    sup = f.support_radius()
-    if sup < 0:
-        return np.zeros(1)
-    terms = sorted(((i, j, float(n) * f.radial[i])
-                    for i, j, n in cross_distance_counts(f.geom.q, k, sup)
-                    if f.radial[i] != 0.0), key=lambda term: term[0])
-    _, j, w = zip(*terms)
-    return np.bincount(j, w, minlength=k + sup + 1)
+    S = len(fv) - 1
+    row = np.zeros(k + S + 1)
+    for a in range(min(k, S) + 1):  # the path vertex a levels below o
+        # f there at j = k - a, then what hangs off it r >= 1 levels down: the
+        # siblings of the next path vertex (c of them), or below x itself
+        if a < k:
+            c = q if a == 0 else q - 1
+        else:
+            c = q + 1 if k == 0 else q
+        coef = np.array([1.0] + [float(c * q ** (r - 1)) for r in range(1, S - a + 1)])
+        row[k - a : k + S - 2 * a + 1] += coef * fv[a:]
+    return row
 
 
 def _cross_matrix(f: TreeFunction, xs) -> np.ndarray:
-    """C[i, j] = sum of f over the sphere of radius j around xs[i]."""
+    """C[i, j] = sum of f over the sphere of radius j around xs[i], cut after
+    its last nonzero column; linear in the ball, from subtree depth profiles.
+
+    D_v[d] is the sum of f over the descendants of v that lie d levels below
+    it, U_v[j] the sum over the vertices at distance j outside v's subtree,
+    and C[x, j] = D_x[j] + U_x[j]. One bottom-up pass builds D on the ball of
+    f's support (in ball order the children of a vertex are contiguous, so a
+    level is one reshape), and one top-down pass builds U along the paths to
+    the xs: for a child c of v, U_c[j] = U_v[j - 1] + [j = 1] f(v) +
+    sum_{s sibling of c} D_s[j - 2], each sibling sum from prefix and suffix
+    sums, so that C only adds and an exact 0 stays 0. A vertex x below the
+    support reads its ancestor a at the support's depth: C[x, j] = C[a, j -
+    d(a, x)]. A radial f takes D in closed form (_radial_row).
+    """
+    ks = np.array([depth(x) for x in xs], dtype=np.int64)
+    S = f.support_radius()
+    C = np.zeros((len(xs), int(ks.max(initial=0)) + max(S, 0) + 1))
+    if S < 0:
+        return C[:, :1]
     if f.is_radial:
-        rows = {k: _radial_cross(f, k) for k in sorted({depth(x) for x in xs})}
-        C = np.zeros((len(xs), max(len(r) for r in rows.values())))
-        for i, x in enumerate(xs):
-            C[i, : len(rows[depth(x)])] = rows[depth(x)]
-        return C
-    items = f.support_items()
-    if not items:
-        return np.zeros((len(xs), 1))
-    ws, vs = zip(*items)
-    # d(x, w) one vector at a time, from the smaller side: the ball around the
-    # xs once per support vertex, or the ball around the support once per x.
-    # Either way each C[x, j] adds its terms in the order of the items.
-    g_x, g_w = (TreeGeometry(f.geom.q, max(map(depth, zs))) for zs in (xs, ws))
-    C, width = np.zeros((len(xs), g_x.radius + g_w.radius + 1)), 1
-    if len(ws) * g_x.ball_size() <= len(xs) * g_w.ball_size():
-        at, rows = _ball_positions(g_x, xs), np.arange(len(xs))
-        for w, v in items:
-            d = ball_distances(g_x, w)[at]
-            C[rows, d] += v
-            width = max(width, int(d.max()) + 1)
+        fv = np.array(f.radial[: S + 1])
+        for k in np.unique(ks).tolist():
+            row = _radial_row(f.geom.q, fv, k)
+            C[ks == k, : len(row)] = row
     else:
-        at, vs = _ball_positions(g_w, ws), np.array(vs)
-        for i, x in enumerate(xs):
-            row = np.bincount(ball_distances(g_w, x)[at], vs)
-            C[i, : len(row)] = row
-            width = max(width, len(row))
-    return C[:, :width]
+        _explicit_cross(f, xs, ks, S, C)
+    nz = np.flatnonzero(C.any(axis=0))
+    return C[:, : nz[-1] + 1 if len(nz) else 1]
 
 
-def _ball_positions(geom: TreeGeometry, words) -> np.ndarray:
-    """The index of each word in enumerate_ball(geom)."""
-    index = {w: i for i, w in enumerate(enumerate_ball(geom))}
-    return np.array([index[w] for w in words])
+def _explicit_cross(f: TreeFunction, xs, ks: np.ndarray, S: int, C: np.ndarray) -> None:
+    """Fill C for an explicit f whose nonzero values reach depth S (see
+    _cross_matrix)."""
+    g = TreeGeometry(f.geom.q, S)
+    sizes = [g.sphere_size(n) for n in range(S + 1)]
+    starts = np.cumsum([0, *sizes])
+    words = [w for w, v in f.table.items() if v != 0.0]
+    flat = np.zeros(int(starts[-1]))
+    flat[ball_positions(g, words)] = [f.table[w] for w in words]
+    level = [flat[starts[n] : starts[n + 1]] for n in range(S + 1)]
+    D = [level[S][:, None]]  # D[n][i, d] for vertex i of level n, bottom up
+    for n in range(S - 1, -1, -1):
+        below = D[0].reshape(sizes[n], -1, S - n).sum(axis=1)
+        D.insert(0, np.concatenate([level[n][:, None], below], axis=1))
+    # each x as the vertex it reads (its ancestor at depth S if deeper), by
+    # level and position in the level; the rows of U needed on each level
+    lv = np.minimum(ks, S)
+    local = ball_positions(g, [x[:S] for x in xs]) - starts[lv]
+    need, carry = [None] * (S + 1), np.empty(0, dtype=np.int64)
+    for n in range(S, -1, -1):
+        need[n] = np.unique(np.concatenate([local[lv == n], carry]))
+        carry = need[n] // (sizes[n] // sizes[n - 1]) if n else carry
+    width = int(lv.max(initial=0)) + S + 1
+    U = np.zeros((len(need[0]), width))
+    for n in range(int(lv.max(initial=0)) + 1):
+        if n:
+            fan = sizes[n] // sizes[n - 1]
+            G = D[n].reshape(sizes[n - 1], fan, S - n + 1)
+            sib = np.zeros_like(G)
+            sib[:, 1:] = np.cumsum(G[:, :-1], axis=1)
+            sib[:, :-1] += np.cumsum(G[:, :0:-1], axis=1)[:, ::-1]
+            parent = need[n] // fan
+            up = U[np.searchsorted(need[n - 1], parent)]
+            U = np.zeros((len(need[n]), width))
+            U[:, 1:] = up[:, :-1]
+            U[:, 1] += level[n - 1][parent]
+            U[:, 2 : S - n + 3] += sib.reshape(sizes[n], -1)[need[n]]
+        at = np.flatnonzero(lv == n)
+        if len(at):
+            full = U[np.searchsorted(need[n], local[at])]
+            full[:, : S - n + 1] += D[n][local[at]]
+            C[at[:, None], (ks[at] - n)[:, None] + np.arange(width)] = full
 
 
 def _combine(C: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -176,7 +217,8 @@ def _combine(C: np.ndarray, K: np.ndarray) -> np.ndarray:
 def radial_convolve(q: int, a, b, k: int) -> float:
     """(A * B)(k) = sum_z A(d(o, z)) B(d(x, z)) for radial tables A, B and
     d(o, x) = k; the terms with d(x, z) beyond the table B are left out."""
-    c = _radial_cross(TreeFunction.from_radial(TreeGeometry(q, len(a) - 1), a), k)[: len(b)]
+    f = TreeFunction.from_radial(TreeGeometry(q, len(a) - 1), a)
+    c = _cross_matrix(f, [(0,) * k])[0, : len(b)]
     return float(_combine(c[None, :], np.asarray(b, dtype=float)[: len(c), None])[0, 0])
 
 
@@ -248,11 +290,11 @@ class BallOperator:
 
     def maximal(self, mspec: MaximalSpec) -> tuple[np.ndarray, np.ndarray]:
         """Certified lower bounds for sup_{0<t<R} |K_t f(x)| and their
-        witness times.
+        witness times: each value is |K_t f(x)| at its witness t.
 
         Grid evaluation plus golden-section refinement around each vertex's
         discrete argmax; each value is the running maximum, so it can only
-        increase under grid refinement.
+        increase under grid refinement. Nothing bounds the sup from above.
         """
         grid = np.array(mspec.grid)
         values = np.abs(self.block(grid))

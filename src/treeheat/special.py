@@ -100,12 +100,12 @@ def _kanter_density(alpha: float, flat: np.ndarray):
     theta = pi with step _STEP in ln theta, so a value depends on (alpha,
     ln y) alone, not on the batch.
 
-    The panels stop at the edge where v - v(0) = 45 for the cell's lower ln
-    u. Past it v is at least v_c, its value there, and v_c >= v0 + 45 (v0 =
-    c1 u) for every y of the cell, up to the table's interpolation. Since v
-    e^-v falls for v > 1 and the interval is shorter than pi, the mass left
-    out is at most g m e^-m, m = max(1, min(v_c, v0 + 45)): g (v0 + 45)
-    e^{-(v0 + 45)} wherever v_c >= v0 + 45. The error adds that, the
+    The panels stop at theta_c, the edge where v - v(0) = 45 for the cell's
+    lower ln u. Past it v is at least v_c, its value there, and v_c >= v0 +
+    45 (v0 = c1 u) for every y of the cell, up to the table's interpolation.
+    Since v e^-v falls for v > 1 and the interval left out is (0, theta_c),
+    the mass left out is at most (g/pi) theta_c m e^-m, m = max(1, min(v_c,
+    v0 + 45)). The error adds that, the
     Gauss-Kronrod estimate of every panel and the rounding of each node and
     of the sum."""
     beta = 0.5 * alpha
@@ -154,7 +154,7 @@ def _kanter_density(alpha: float, flat: np.ndarray):
                             + (math.log2(max(th.size, 1)) + 4.0) * total)
                 value[at] = total * (g / math.pi)
                 error[at] = ((kronrod_error(kronrod, h @ _WG15).sum(axis=1) + rounding * _EPS)
-                             * (g / math.pi) + g * m * np.exp(-m))
+                             * (g / math.pi) + top[-1] * m * np.exp(-m) * (g / math.pi))
     return value, error
 
 

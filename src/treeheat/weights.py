@@ -11,9 +11,10 @@ The stable (Thm1-i) and wave-type (Thm2-i) families take the power profile
 g_j = (q^j (1+j)^e)^{-1}, with e = 1 + alpha/2 and e = nu + 1; the heat
 family (Thm3-g) takes the tabulated kernel g_j = H_R(j). Radial weights get
 log S_j and log m_j from the joint distance census, at any base vertex and
-without visiting the ball; explicit tables, held in ball order, read each
-sphere from the distances to x over the ball, built a level at a time. Sums
-are taken in logs, so a finite term never passes through an overflow.
+without visiting the ball; an explicit table is one float array in ball
+order (geometry.ball_positions), and each sphere is read from the distances
+to x over the ball, built a level at a time. Sums are taken in logs, so a
+finite term never passes through an overflow.
 
 Verdicts follow a strict certification policy: `admissible` needs a finite
 certified tail, `not-admissible` needs a divergence certificate (closed-form
@@ -25,7 +26,8 @@ only be `inconclusive`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +36,9 @@ from .geometry import (
     TreeGeometry,
     Word,
     ball_distances,
+    ball_positions,
     cross_distance_counts,
     depth,
-    enumerate_ball,
     sphere_size,
     validate_word,
 )
@@ -76,13 +78,18 @@ class ClosedFormWeight:
 @dataclass(frozen=True)
 class WeightSpec:
     """A strictly positive weight with exponent p; radial closed form,
-    radial table, or explicit vertex table."""
+    radial table, or explicit vertex table.
+
+    An explicit table is given as a mapping word -> value in any order, or
+    as an array in enumerate_ball's order, and held as one float64 array in
+    that order (8 bytes a vertex). Equality, like TreeFunction's, leaves the
+    table out."""
 
     geom: TreeGeometry
     p: float
     closed_form: ClosedFormWeight | None = None
     radial: tuple[float, ...] | None = None
-    table: dict | None = None
+    table: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         reps = sum(x is not None for x in (self.closed_form, self.radial, self.table))
@@ -96,17 +103,9 @@ class WeightSpec:
             if any(not 0 < v < math.inf for v in self.radial):
                 raise ValueError("weights must be finite and strictly positive")
         if self.table is not None:
-            # held in ball order, so that every sphere sum runs in that order
-            words = enumerate_ball(self.geom)
-            try:
-                table = {w: float(self.table[w]) for w in words}
-            except KeyError:
-                table = None
-            if table is None or len(self.table) != len(words):
-                raise ValueError("an explicit weight table must cover the whole ball")
-            if any(not 0 < v < math.inf for v in table.values()):
+            object.__setattr__(self, "table", _ball_array(self.geom, self.table))
+            if not np.all((0 < self.table) & (self.table < math.inf)):
                 raise ValueError("weights must be finite and strictly positive")
-            object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_closed_form(
@@ -146,15 +145,40 @@ class WeightSpec:
     def value(self, x) -> float:
         x = validate_word(x, self.geom.q)
         if self.table is not None:
-            if x not in self.table:
-                raise ValueError(f"weight undefined at {x}")
-            return self.table[x]
+            try:
+                (at,) = ball_positions(self.geom, [x])
+            except ValueError:
+                raise ValueError(f"weight undefined at {x}") from None
+            return float(self.table[at])
         return self.radial_value(depth(x))
 
     def label(self) -> str:
         if self.closed_form is not None:
             return self.closed_form.label()
         return "radial-table" if self.radial is not None else "explicit-table"
+
+
+def _ball_array(geom: TreeGeometry, table) -> np.ndarray:
+    """A table covering the ball as a float64 array in ball order: a mapping
+    word -> value placed by ball_positions, each vertex exactly once, or an
+    array already in that order."""
+    n = geom.ball_size()
+    if not isinstance(table, Mapping):
+        out = np.array(table, dtype=float)
+        if out.shape != (n,):
+            raise ValueError("an explicit weight table must cover the whole ball")
+        return out
+    if len(table) != n:
+        raise ValueError("an explicit weight table must cover the whole ball")
+    try:
+        at = ball_positions(geom, table.keys())
+    except ValueError as exc:
+        raise ValueError("an explicit weight table must cover the whole ball") from exc
+    if np.bincount(at, minlength=n).min() == 0:
+        raise ValueError("an explicit weight table must cover the whole ball")
+    out = np.empty(n)
+    out[at] = np.fromiter(table.values(), dtype=float, count=n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -199,7 +223,7 @@ def _sphere_stats(u: WeightSpec, x: Word, s: float | None) -> np.ndarray:
         j, log_u = j.astype(int), u.log_radial()[i.astype(int)]
     else:
         j = ball_distances(u.geom, x)
-        log_u, log_n = np.log(np.fromiter(u.table.values(), float, len(j))), np.zeros(len(j))
+        log_u, log_n = np.log(u.table), np.zeros(len(j))
     keep = j <= jmax
     j, log_u, log_n = j[keep], log_u[keep], log_n[keep]
     if s is None:
@@ -407,5 +431,6 @@ def companion_weight(u: WeightSpec, exponent: float, p: float | None = None) -> 
             min(u.radial_value(k), w_k(k)) for k in range(geom.radius + 1)
         ]
         return WeightSpec.from_radial(geom, p, vals)
-    table = {y: min(uy, w_k(depth(y))) for y, uy in u.table.items()}
-    return WeightSpec(geom, p, table=table)
+    sizes = [sphere_size(geom, k) for k in range(geom.radius + 1)]
+    w = np.repeat([w_k(k) for k in range(geom.radius + 1)], sizes)
+    return WeightSpec(geom, p, table=np.minimum(u.table, w))

@@ -10,6 +10,7 @@ from treeheat.geometry import (
     ROOT,
     TreeGeometry,
     ball_distances,
+    ball_positions,
     cross_distance_counts,
     depth,
     enumerate_ball,
@@ -65,6 +66,33 @@ def test_enumerate_ball_order():
     assert depths == sorted(depths)
     for a, b in zip(verts, verts[1:]):
         assert (depth(a), a) < (depth(b), b)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("radius", range(7))
+def test_ball_positions_match_enumeration(q, radius):
+    geom = TreeGeometry(q, radius)
+    ball = enumerate_ball(geom)
+    assert ball_positions(geom, ball).tolist() == list(range(len(ball)))
+    # any order, numpy-int labels, and a larger ball around the same words
+    order = np.random.default_rng(q * 10 + radius).permutation(len(ball))
+    words = [tuple(np.int64(c) for c in ball[i]) for i in order]
+    assert ball_positions(geom, words).tolist() == order.tolist()
+    assert ball_positions(TreeGeometry(q, radius + 2), words).tolist() == order.tolist()
+
+
+def test_ball_positions_reject_words_outside_the_ball():
+    geom = TreeGeometry(2, 4)
+    for bad in [(3,), (-1,), (0, 2), (1, 0, -1), (0, 0, 0, 0, 0), (2**70,)]:
+        with pytest.raises(ValueError):
+            ball_positions(geom, [(0, 1), bad])
+    assert ball_positions(TreeGeometry(1, 3), [(1, 0, 0)]).tolist() == [6]
+    with pytest.raises(ValueError):
+        ball_positions(TreeGeometry(1, 3), [(1, 1)])  # q = 1: later labels are 0
+    # a level whose indices would pass int64 is refused, not wrapped
+    assert ball_positions(TreeGeometry(2, 70), [(2,) + (1,) * 60]) > 0
+    with pytest.raises(ValueError, match="int64"):
+        ball_positions(TreeGeometry(2, 70), [(0,) * 63])
 
 
 @pytest.mark.parametrize("q", [1, 2, 4])

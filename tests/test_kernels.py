@@ -28,7 +28,7 @@ from treeheat.operators import MaximalSpec, radial_convolve
 from treeheat.errors import NumericalError
 from treeheat.quadrature import DEFAULT_SPEC, QuadratureSpec
 from reference import StableDensityParams, distance, integrate, one_value, stable_density
-from treeheat.special import IVE_REL_ERR, bessel_i_scaled
+from treeheat.special import IVE_REL_ERR, KVE_REL_ERR, bessel_i_scaled
 
 
 @lru_cache(maxsize=1)  # one ball at a time: the q = 3 one holds 3.2M vertices
@@ -611,6 +611,58 @@ def test_mixing_law_tail_covers_the_weights():
                 if family is not None and rel_tol == DEFAULT_SPEC.rel_tol:
                     assert np.array_equal(values[0], kernel_block(q, family, [t], ks[-1])[:, 0])
                 assert np.all(np.abs(values[0] - exact) <= bound[0]), (q, family, t, rel_tol)
+
+
+def wave_walk_mixture_mp(q, nu, t, kmax, nmax=80):
+    """T_t^nu(k), k = 0..kmax, as sum_{n <= nmax} w_n u_n(k) with w_n = 2
+    (t/2)^(nu+n) K_{n-nu}(t) / (n! Gamma(nu)) in 30-digit mpmath: each K from
+    mp.besselk, the walk probabilities u_n(k) from their recurrence. For nu >=
+    60 and t <= 10 the walk length is Poisson(t^2/(4G)), G ~ Gamma(nu), so the
+    weights past n = 80 are far below the last digit of any value here."""
+    with mp.workdps(30):
+        nu_, t_ = mp.mpf(nu), mp.mpf(t)
+        u = [mp.mpf(1)] + [mp.mpf(0)] * (nmax + kmax + 1)
+        out = [mp.mpf(0)] * (kmax + 1)
+        for n in range(nmax + 1):
+            w = 2 * (t_ / 2) ** (nu_ + n) * mp.besselk(n - nu_, t_) / (
+                mp.factorial(n) * mp.gamma(nu_))
+            out = [o + w * uk for o, uk in zip(out, u)]
+            u = [u[1]] + [(u[i - 1] + q * u[i + 1]) / (q + 1) for i in range(1, len(u) - 1)] + [0]
+        return out
+
+
+@pytest.mark.parametrize("nu", [60.0, 200.0])
+def test_wave_at_large_nu_against_mpmath(nu):
+    # kve(nu, t) overflows below t ~ 3.7e-4 at nu = 60 and 4.5 at nu = 200;
+    # there the weights come from the Bessel recurrence run up from the orders
+    # in [0, 1]. Every value lies within its own bound of an mpmath sum
+    q, ts, ks = 2, [1e-4, 3e-4, 0.01, 0.3, 1.0, 3.0, 10.0], np.arange(4)
+    rho = kernels._walk_decay(q)
+    values, bound = kernels._mix(q, kernels._wave_weights(nu, ts, rho), len(ts), ks, DEFAULT_SPEC)
+    assert np.array_equal(values.T, kernel_block(q, KernelFamily.wave(nu), ts, 3))
+    for i, t in enumerate(ts):
+        expect = wave_walk_mixture_mp(q, nu, t, 3)
+        for k in ks.tolist():
+            assert abs(mp.mpf(values[i, k]) - expect[k]) <= bound[i, k], (t, k)
+    # at rho = 1 the weights are the law of the walk length: they add up to 1
+    for t in ts:
+        w, err, tail = _read(_stream(KernelFamily.wave(nu), t, 1.0, 200), 200)
+        slack = float(w @ err) + tail[-1] + 202 * kernels._EPS
+        assert abs(math.fsum(w.tolist()) - 1.0) <= slack, t
+
+
+def test_log_kve_past_the_float_range():
+    # where kve overflows, log(K_v(x) e^x) comes from the upward recurrence,
+    # within kve's error and the recurrence's own bound, orders up to 800
+    with mp.workdps(40):
+        for v in (2.5, 60.0, 200.0, 800.0):
+            for x in (1e-6, 1e-3, 1.0, 100.0, 300.0):
+                if not math.isinf(kve(v, x)):
+                    continue
+                log_k, err, _, _ = kernels._kve_up(v, x)
+                assert kernels._log_kve(v, x) == log_k
+                expect = mp.log(mp.besselk(mp.mpf(v), mp.mpf(x))) + mp.mpf(x)
+                assert abs(log_k - expect) <= KVE_REL_ERR + err, (v, x)
 
 
 def test_radial_convolve_semigroup():

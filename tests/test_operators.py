@@ -13,6 +13,7 @@ from treeheat.geometry import ROOT, TreeGeometry, enumerate_ball, sphere_size
 from treeheat.kernels import KernelFamily, tabulate
 from treeheat.operators import (
     BallOperator,
+    _cross_matrix,
     MaximalSpec,
     TreeFunction,
     fractional_laplacian,
@@ -359,3 +360,31 @@ def test_ball_operator_memory_grows_with_the_ball():
         tracemalloc.stop()
     assert op.C.shape == (len(xs), 19)
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_cross_matrix_matches_distance_oracle(q):
+    # C[x, j] = sum of f over the sphere of radius j around x, for explicit
+    # and radial f, at x inside, on the edge of and past f's support; a
+    # sphere that meets no nonzero value is an exact 0, and C ends at the
+    # last distance that meets one
+    rng = np.random.default_rng(20 + q)
+    geom = TreeGeometry(q, 4)
+    ball = enumerate_ball(geom)
+    xs = ball + [(q,) + (0,) * 5, (0,) * 7, (1,) + (q - 1,) * 4]
+    values = rng.uniform(-1.0, 1.0, len(ball)) * (rng.random(len(ball)) < 0.5)
+    explicit = TreeFunction.from_table(
+        geom, {w: v for w, v in zip(ball, values) if len(w) <= 3})
+    radial = TreeFunction.from_radial(geom, [0.5, 0.0, -2.0, 0.0, 0.0])
+    for f in (explicit, radial):
+        C = _cross_matrix(f, xs)
+        width = 1 + max(distance(x, y) for x in xs for y in ball if f.value(y) != 0.0)
+        assert C.shape == (len(xs), width)
+        for i, x in enumerate(xs):
+            want, hit = np.zeros(width), np.zeros(width, dtype=bool)
+            for y in ball:
+                if f.value(y) != 0.0:
+                    want[distance(x, y)] += f.value(y)
+                    hit[distance(x, y)] = True
+            assert np.all(C[i, ~hit] == 0.0), x
+            assert np.allclose(C[i], want, rtol=0.0, atol=1e-14 * (q + 1) ** 4), x

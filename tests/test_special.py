@@ -299,18 +299,56 @@ def test_log_y_density_alone_equals_batch(alpha):
         assert (alone[0][0], alone[1][0]) == (v, e), x
 
 
+def mass_past_panels(alpha, log_y):
+    """(g/pi) int_0^theta* v e^-v dtheta, theta* the angle from pi where v =
+    v0 + 45, in mpmath from Kanter's integrand alone: at least the mass that
+    panels stopping where v >= v0 + 45 leave out."""
+    with mp.workdps(25):
+        beta = mp.mpf(alpha) / 2
+        g = beta / (1 - beta)
+        u = mp.exp(-g * mp.mpf(log_y))
+
+        def log_a(th):  # ln A(pi - theta), each sine without cancellation
+            return (beta * mp.log(mp.sin(beta * (mp.pi - th)))
+                    + (1 - beta) * mp.log(mp.sin((1 - beta) * (mp.pi - th)))
+                    - mp.log(mp.sin(th))) / (1 - beta)
+
+        target = mp.log(mp.mpf(stable_exponent_constant(alpha)) + 45 / u)
+        lo, hi = mp.mpf(-800), mp.log(mp.pi) - mp.mpf("1e-20")  # ln theta*, bisected
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if log_a(mp.exp(mid)) > target else (lo, mid)
+        edge = mp.exp(lo)
+        mass = mp.quad(lambda th: mp.exp(log_a(th)) * u * mp.exp(-mp.exp(log_a(th)) * u),
+                       [0, edge / 2, edge])
+        return g / mp.pi * mass
+
+
 @pytest.mark.parametrize("alpha", sorted(SPLIT_POINTS))
 def test_kanter_error_counts_the_dropped_mass(alpha):
-    # past the panels v >= v0 + 45, so the mass left out is at most
-    # g (v0 + 45) e^{-(v0 + 45)}: on the rule's Kanter nodes, and in the right
-    # tail, where that term outweighs the rest of the bound
-    beta = 0.5 * alpha
-    g = beta / (1.0 - beta)
-    log_a0 = math.log(stable_exponent_constant(alpha))
-    log_y = np.concatenate([kanter_nodes(alpha), [10.0, 100.0, 700.0]])
+    # past the panels v >= v0 + 45, so the mass left out is at most that at
+    # theta < theta*, where v = v0 + 45: on eight of the rule's Kanter nodes
+    # and in the right tail, where that term outweighs the rest of the bound
+    nodes = kanter_nodes(alpha)
+    log_y = np.concatenate([nodes[np.linspace(0, len(nodes) - 1, 8).astype(int)],
+                            [10.0, 100.0, 700.0]])
     _, error = _kanter_density(alpha, log_y)
-    past = np.exp(log_a0 + -g * log_y) + 45.0
-    assert np.all(error >= g * past * np.exp(-past))
+    for x, e in zip(log_y.tolist(), error.tolist()):
+        assert mass_past_panels(alpha, x) <= e, x
+
+
+def test_kanter_right_tail_against_levy():
+    # the mass past the last panel is bounded on the interval left out, of
+    # length theta_c, not pi: far right of the mode the bound is tight
+    # (at ln y = 100 it was 2.4e4 times the value)
+    log_y = np.array([10.0, 100.0, 700.0])
+    value, error = _kanter_density(1.0, log_y)
+    with mp.workdps(40):
+        for x, v, e in zip(log_y.tolist(), value.tolist(), error.tolist()):
+            y = mp.exp(mp.mpf(x))
+            expect = mp.exp(-1 / (4 * y)) / (2 * mp.sqrt(mp.pi * y))
+            assert abs(mp.mpf(v) - expect) <= e, x
+            assert e <= 1e-11 * v, x
 
 
 def test_log_y_density_alpha_one_closed_form():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-import treeheat.geometry
+import treeheat
 from treeheat.geometry import (
     ROOT,
     TreeGeometry,
@@ -14,6 +14,8 @@ from treeheat.geometry import (
     enumerate_ball,
     sphere_size,
 )
+from treeheat.kernels import KernelFamily
+from treeheat.operators import BallOperator, MaximalSpec, TreeFunction
 from treeheat.weights import (
     ADMISSIBLE,
     INCONCLUSIVE,
@@ -218,11 +220,16 @@ def test_closed_form_tail_bounds_the_series(q, p, c, a, b, alpha, radius):
     assert v.tail_bound >= tail
 
 
+def _forbid_enumerate_ball(monkeypatch, replacement):
+    for module in (treeheat.geometry, treeheat.weights, treeheat.operators):
+        monkeypatch.setattr(module, "enumerate_ball", replacement, raising=False)
+
+
 def test_radial_sup_never_enumerates_the_ball(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ball enumerated for a radial weight")
 
-    monkeypatch.setattr(treeheat.geometry, "enumerate_ball", forbidden)
+    _forbid_enumerate_ball(monkeypatch, forbidden)
     geom = TreeGeometry(2, 200)
     u = WeightSpec.from_closed_form(geom, 1.0, 1.0, -1.0, -4.0)
     radial = WeightSpec.from_radial(geom, 1.0, [u.radial_value(k) for k in range(201)])
@@ -381,3 +388,72 @@ def test_explicit_checks_never_call_distance():
             check_thm1_i(u, 1.0, x)
             check_thm2_i(u, 1.0, x)
             check_thm3_g(u, 1.0, x)
+
+
+def test_companion_weight_of_an_explicit_table():
+    geom = TreeGeometry(2, 6)
+    table = _noisy_table(6, 3)
+    u = WeightSpec.from_table(geom, 2.0, table)
+    for e, p in ((1.5, 2.0), (0.6, 1.5)):
+        v = companion_weight(u, e, p)
+        assert v.p == p and not v.is_radial
+        # min(u(y), w_|y|) at every vertex
+        w = [2.0 ** (-p * k) * (1.0 + k) ** (-p * e - 2.0) / sphere_size(geom, k)
+             for k in range(7)]
+        for y, uy in table.items():
+            assert v.value(y) == min(uy, w[len(y)]), y
+        # a table of radial values agrees with the radial route at every vertex
+        values = [2.0 ** (-0.3 * k) for k in range(7)]
+        radial = companion_weight(WeightSpec.from_radial(geom, 2.0, values), e, p)
+        explicit = companion_weight(
+            WeightSpec.from_table(geom, 2.0, {y: values[len(y)] for y in table}), e, p)
+        for y in table:
+            assert explicit.value(y) == radial.value(y), y
+
+
+def test_explicit_table_value_and_storage():
+    geom = TreeGeometry(3, 3)
+    words = enumerate_ball(geom)
+    table = {w: 1.0 + 0.25 * i for i, w in enumerate(words)}
+    u = WeightSpec.from_table(geom, 1.5, dict(reversed(list(table.items()))))
+    assert u.table.dtype == np.float64 and u.table.shape == (len(words),)
+    assert u.table.tolist() == list(table.values())  # held in ball order
+    for w, x in table.items():
+        assert u.value(w) == x
+        assert u.value(tuple(np.int64(c) for c in w)) == x
+    for outside in ((0, 0, 0, 0), (4,), (0, 3)):
+        with pytest.raises(ValueError):
+            u.value(outside)
+    # an array in ball order is the same table; equality leaves tables out
+    same = WeightSpec(geom, 1.5, table=np.array(list(table.values())))
+    assert np.array_equal(same.table, u.table)
+    assert same == u and hash(same) == hash(u)
+    with pytest.raises(ValueError, match="whole ball"):
+        WeightSpec(geom, 1.5, table=np.ones(len(words) - 1))
+
+
+def test_explicit_routes_never_enumerate_the_ball(monkeypatch):
+    # weights, companions, checks and the ball operator place an explicit
+    # table by ball_positions; only the CLI's writer lists the ball
+    geom = TreeGeometry(2, 7)
+    words = enumerate_ball(geom)
+    table = _noisy_table(7, 4)
+    rng = np.random.default_rng(4)
+    f_table = {w: rng.uniform(-1.0, 1.0) for w in words if len(w) <= 3}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ball enumerated")
+
+    _forbid_enumerate_ball(monkeypatch, forbidden)
+    for p in (1.0, 2.0):
+        u = WeightSpec.from_table(geom, p, table)
+        v = companion_weight(u, 1.5)
+        for w in (u, v):
+            for x in (ROOT, (1, 0)):
+                check_thm1_i(w, 1.0, x)
+                check_thm2_i(w, 0.5, x)
+                check_thm3_g(w, 1.0, x)
+    f = TreeFunction.from_table(geom, f_table)
+    op = BallOperator(KernelFamily.heat(), f, words)
+    op.apply(0.5)
+    op.maximal(MaximalSpec.default(1.0, points=8, refinement_rounds=1))
