@@ -24,7 +24,7 @@ import tempfile
 
 from .errors import NumericalError
 from .flow import FlowStructure, verify_flow_conjugation
-from .geometry import ROOT, TreeGeometry, Word, enumerate_ball
+from .geometry import ROOT, TreeGeometry, Word, enumerate_ball, validate_word
 from .kernels import KernelFamily, tabulate, write_kernel_csv
 from .operators import BallOperator, MaximalSpec, TreeFunction
 from .quadrature import QuadratureSpec
@@ -83,13 +83,9 @@ def parse_word(text: str, q: int) -> Word:
     if not text:
         return ROOT
     try:
-        labels = tuple(int(c) for c in text.split("."))
+        return validate_word(text.split("."), q)
     except ValueError as exc:
         raise UsageError(f"bad vertex word {text!r}: {exc}") from exc
-    for c in labels:
-        if not 0 <= c <= q:
-            raise UsageError(f"bad vertex word {text!r}: label {c} not in 0..{q}")
-    return labels
 
 
 def format_word(word: Word) -> str:

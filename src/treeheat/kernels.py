@@ -21,8 +21,8 @@ The stable and wave families and L^{alpha/2} are summed on it:
 
 - stable P_t^alpha: the coefficients of exp(-t (1 - z)^{alpha/2}), by a
   recurrence that only adds positive terms;
-- wave-type T_t^nu: w_n = 2 (t/2)^{nu+n} K_{n-nu}(t) / (n! Gamma(nu)), by the
-  upward Bessel-K recurrence.
+- wave-type T_t^nu: w_n = 2 (t/2)^{nu+n} K_{n-nu}(t) / (n! Gamma(nu)), by one
+  upward Bessel-K recurrence from K at two orders in [0, 1].
 
 Every term is positive, so each value keeps its relative accuracy at any k
 and t. For the stable and wave families the ground spherical function bounds
@@ -376,80 +376,78 @@ def _stable_weights(alpha: float, ts: np.ndarray, rho: float, rows: int = _BLOCK
             ts, c0, err0, g, scale, a, er = (x[keep] for x in (ts, c0, err0, g, scale, a, er))
 
 
-def _log_kve(v: float, x: float) -> float:
-    """log(K_v(x) e^x), for 0 < x <= 1e9 (kve is nan above ~1e10); where kve
-    overflows, from the upward recurrence (_kve_up)."""
-    val = float(kve(v, x))
-    if math.isinf(val):
-        return _kve_up(v, x)[0]
-    return math.log(val)
+def _k_up(inv: float, err: float, m: float):
+    """s_m = a K_{m+1}(t)/K_m(t) = inv + m, a = t/2, from inv = a K_{m-1}(t)/K_m(t)
+    with relative error err (DLMF 10.29.1), and the relative error of s_m: the
+    two terms are positive for m >= 0, so it stays within a few eps of err."""
+    s = inv + m
+    return s, (inv * err + m * _EPS) / s + _EPS
 
 
-def _kve_up(v: float, x: float):
-    """log(K_v(x) e^x) and the ratios rho_m = K_{m+1}(x) / K_m(x) for m = mu -
-    1, ..., v - 1 (mu = v - floor(v), K_{mu-1} = K_{1-mu}), each with a bound
-    on its error, for x above ~1e-308.
+def _kve_up(nu: float, t: float):
+    """W_0 = 2 a^nu K_nu(t)/Gamma(nu), a = t/2, as mant 2^exp2 with a bound on
+    its relative error, and the ratios r_n = a K_{n-nu}(t)/K_{n-1-nu}(t) for
+    n = 1, ..., ceil(nu) + 1 with theirs; NumericalError below t ~ 1e-305,
+    where kve is inf (it is nan above ~1e10).
 
-    kve gives the two orders in [0, 1], mu and 1 - mu, which stay finite
-    there; then rho_m = 1/rho_{m-1} + 2m/x, DLMF 10.29.1 in ratios. Its two
-    terms are positive, so a ratio's relative error stays within a few eps
-    of the last one's, and every K_m is a positive combination of the two kve
-    values: kve's own error (KVE_REL_ERR) is left out of the bounds, to be
-    counted once by the caller. log K_v is log K_mu plus the logs of the
-    ratios, summed by fsum."""
-    mu = v - math.floor(v)
-    k_lo, k_mu = float(kve(1.0 - mu, x)), float(kve(mu, x))
-    r, rerr = k_mu / k_lo, _EPS
-    ratios, errs, logs = [r], [rerr], [math.log(k_mu)]
-    log_err = (abs(logs[0]) + 1.0) * _EPS
-    m = mu
-    while m < v - 0.5:
-        inv, lin = 1.0 / r, 2.0 * m / x
-        r = inv + lin
-        rerr = (inv * (rerr + _EPS) + 3.0 * lin * _EPS) / r + _EPS
-        ratios.append(r)
-        errs.append(rerr)
-        logs.append(math.log(r))
-        log_err += rerr + (abs(logs[-1]) + 1.0) * _EPS
-        m += 1.0
-    log_k = math.fsum(logs)
-    return log_k, log_err + abs(log_k) * _EPS, ratios, errs
+    kve is read at mu = nu - floor(nu) (1 for whole nu) and 1 - mu only; x = a
+    K_{1-mu}/K_mu and y = a K_mu/K_{1-mu}. The ratios s_m = a K_{m+1}/K_m run
+    up from s_mu = x + mu (_k_up, a^2/s formed as a (a/s), good to 2 eps or
+    below the smallest normal number), and
+        W_0 = 2 a^mu K_mu/Gamma(mu) prod_{m=mu}^{nu-1} s_m/m
+    is a mantissa and a power of 2, e^{-t} = g 2^-E apart, so no term leaves
+    the float range at any t. Then r_n = a^2/s_{nu-n} for n < ceil(nu), x at
+    ceil(nu), and s'_{1-mu} = y + 1 - mu, s' the same recurrence on 1 - mu + j.
+
+    Every K here is a positive combination of the two kve values, so kve's
+    error (KVE_REL_ERR) is left to the caller, to count once. W_0's bound
+    counts the rounding of 1 - mu (nu < 1/2; |d ln K_v(t)/dv| <= |ln a| + 2
+    for v in [0, 1]), each factor's error and 3 eps, and t + 2 eps for g, 3
+    for Gamma(mu) (math.gamma is within 2.7 eps of it on (0, 1]) and 5 more.
+    """
+    mu = nu - math.floor(nu) or 1.0
+    lo = math.ceil(nu) - nu  # 1 - mu, exact for nu >= 1/2
+    k_mu, k_lo = float(kve(mu, t)), float(kve(lo, t))
+    if math.isinf(k_mu) or math.isinf(k_lo):
+        raise NumericalError(f"K_{mu:g}({t:g}) outside the float range")
+    a = 0.5 * t
+    x, y = a * k_lo / k_mu, a * k_mu / k_lo
+    e2 = math.ceil(t / _LN2)
+    mant, exp2 = math.frexp(2.0 * a**mu * k_mu / math.gamma(mu) * math.exp(e2 * _LN2 - t))
+    exp2 -= e2
+    err = abs(1.0 - lo - mu) * (abs(math.log(a)) + 2.0) + (t + 10.0) * _EPS
+    ratios, errs = [], []
+    s, serr = _k_up(x, 2.0 * _EPS, mu)
+    for j in range(math.ceil(nu) - 1):  # m = mu + j up to nu - 1
+        mant, e = math.frexp(mant * (s / (mu + j)))
+        exp2 += e
+        err += serr + 3.0 * _EPS
+        ratios.append(a * (a / s))
+        errs.append(serr + 2.0 * _EPS)
+        s, serr = _k_up(ratios[-1], errs[-1], mu + j + 1)
+    s, serr = _k_up(y, 2.0 * _EPS, lo)
+    return mant, exp2, err, ratios[::-1] + [x, s], errs[::-1] + [2.0 * _EPS, serr]
 
 
 def _wave_rows(nu: float, t: float, rho: float, rows: int):
     """Blocks of `rows` mantissas, exponents and relative errors of the wave
     weights W_n = mant 2^exp at one time t (_wave_weights)."""
-    n0 = math.ceil(nu)
-    if math.isinf(kve(nu, t)):  # K_nu(t) beyond the float range
-        log_k0, up_err, ratios, errs = _kve_up(nu, t)
-        top = math.floor(nu) + 1  # r_n = K_{nu-n}/K_{nu-n+1} = 1/rho_{nu-n}
-        r_head = [1.0 / ratios[top - n] for n in range(1, n0 + 1)]
-        err_head = [errs[top - n] + _EPS for n in range(1, n0 + 1)]
-    else:
-        log_k = [_log_kve(abs(n - nu), t) for n in range(n0 + 1)]
-        log_k0, up_err = log_k[0], 0.0
-        r_head = [math.exp(log_k[n] - log_k[n - 1]) for n in range(1, n0 + 1)]
-        err_head = [(abs(log_k[n]) + abs(log_k[n - 1]) + 2.0) * _EPS for n in range(1, n0 + 1)]
-    parts = (math.log(2.0), nu * math.log(0.5 * t), log_k0, -t, -math.lgamma(nu))
-    log_w0 = math.fsum(parts)
-    exp2 = math.floor(log_w0 / _LN2)
-    mant = math.exp(log_w0 - exp2 * _LN2)
-    werr = KVE_REL_ERR + up_err + (sum(abs(p) for p in parts) + 2.0 * abs(log_w0) + 4.0) * _EPS
-    half = 0.5 * t * rho
+    mant, exp2, werr, head, head_err = _kve_up(nu, t)
+    werr += KVE_REL_ERR
+    a = 0.5 * t
     r = rerr = 0.0
     n = 0
     while True:
         mants, exps, errs = [], [], []
         for _ in range(rows):
             if n:
-                if n <= n0:
-                    r, rerr = r_head[n - 1], err_head[n - 1]
-                else:
-                    inv = 1.0 / r
-                    lin = 2.0 * (n - 1 - nu) / t
-                    r = inv + lin
-                    rerr = (inv * (rerr + _EPS) + 3.0 * lin * _EPS) / r + _EPS
-                mant, e2 = math.frexp(mant * (half * r / n))
+                if n <= len(head):
+                    r, rerr = head[n - 1], head_err[n - 1]
+                else:  # _k_up at the order n - 1 - nu, inline in this hot loop
+                    inv, m = a * (a / r), n - 1 - nu
+                    r = inv + m
+                    rerr = (inv * (rerr + 2.0 * _EPS) + m * _EPS) / r + _EPS
+                mant, e2 = math.frexp(mant * (rho * r / n))
                 exp2 += e2
                 werr += rerr + 6.0 * _EPS
             mants.append(mant)
@@ -466,18 +464,17 @@ def _wave_weights(nu: float, ts, rho: float, rows: int = _BLOCK):
     endless. Sent a mask over its rows (blocks.send(keep)), it drops the rows
     that are False from then on.
 
-    Each time runs its own scalar recurrence (_wave_rows): W_n = W_{n-1}
-    (t rho/2) r_n / n with r_n = K_{n-nu}(t) / K_{n-1-nu}(t), from kve while
-    n <= ceil(nu) (from _kve_up's ratios where kve(nu, t) overflows), then
-    r_{n+1} = 1/r_n + 2(n - nu)/t, the upward recurrence
-    K_{m+1} = K_{m-1} + (2m/t) K_m, whose terms are positive for m >= 0. Each
+    Each time runs its own scalar recurrence (_wave_rows): W_n = W_{n-1} rho
+    r_n / n with r_n = a K_{n-nu}(t) / K_{n-1-nu}(t), a = t/2. W_0 and r_n up
+    to n = ceil(nu) + 1 come from kve at the two orders mu = nu - floor(nu)
+    (1 for whole nu) and 1 - mu and the upward recurrence (_kve_up); past
+    them r_n = a^2/r_{n-1} + (n - 1 - nu), the same recurrence K_{m+1} =
+    K_{m-1} + (2m/t) K_m (_k_up), whose terms are positive for m >= 0. Each
     W_n is a mantissa in [1/2, 1) times a power of 2, so neither (t/2)^n
     K_{n-nu}(t) nor W_0 ~ e^{-t} leaves the float range. The bound follows
     the relative error of r_n step by step and adds 6 eps per step for the
-    product. kve's own error (KVE_REL_ERR) is counted once per weight: up to
-    ceil(nu) each kve value enters W_n and the next ratio with opposite signs,
-    so W_n carries that of K_{n-nu} alone, and past it the recurrence is a
-    positive combination of the last two kve values.
+    product. Every weight is a positive combination of the two kve values,
+    so kve's own error (KVE_REL_ERR) is counted once per weight.
 
     The mixing law: sum_n w_n z^n = 2 (x/2)^nu K_nu(x)/Gamma(nu) at x = t
     sqrt(1 - z), which is E e^{-(1 - z) S} for S = t^2/(4G), G ~ Gamma(nu);
@@ -558,15 +555,13 @@ def _mix(q: int, blocks, times: int, ks, spec: QuadratureSpec):
 
 def _log_multiplier(family: KernelFamily, ts: np.ndarray, lam: float) -> np.ndarray:
     """ln phi(lam) = ln sum_n w_n (1 - lam)^n at every time: e^{-t lam^{alpha/2}}
-    (stable) or 2 (x/2)^nu K_nu(x) / Gamma(nu), x = t sqrt(lam) (wave); x is
-    capped at 1e9, which only raises the value, as phi falls with x."""
+    (stable) or ln W_0 = ln(2 (x/2)^nu K_nu(x) / Gamma(nu)) at x = t sqrt(lam)
+    (wave), from the wave weights' own seeds (_kve_up); x is capped at 1e9,
+    which only raises the value, as phi falls with x."""
     if family.kind == "stable":
         return -ts * lam ** (0.5 * family.alpha)
-    nu = family.nu
-    xs = [min(t * math.sqrt(lam), 1e9) for t in ts.tolist()]
-    return np.array(
-        [_LN2 + _log_kve(nu, x) - math.lgamma(nu) + nu * math.log(0.5 * x) - x for x in xs]
-    )
+    seeds = [_kve_up(family.nu, min(t * math.sqrt(lam), 1e9)) for t in ts.tolist()]
+    return np.array([math.log(mant) + exp2 * _LN2 for mant, exp2, *_ in seeds])
 
 
 def _walk_mixture(q: int, family: KernelFamily, ts, ks, spec: QuadratureSpec):

@@ -261,6 +261,27 @@ def test_bad_function_rows_exit_one(tmp_path, capsys, command, rows, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("word,message", [("0.2", "label 2 outside 0..1"),
+                                          ("0.1.5", "label 5 outside 0..1"),
+                                          ("3", "first label 3 outside 0..2")])
+def test_bad_vertex_word_exits_one(tmp_path, capsys, word, message):
+    # label q may open a word but not follow: past the first label, labels run
+    # over 0..q-1. The error names the file and row, or the option's word
+    fin = tmp_path / "f.csv"
+    fin.write_text(f"word,value\n0,1.0\n{word},2.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    args = ["apply", "--q", "2", "--family", "heat", "--radius", "3", "--t", "0.5",
+            "--input", str(fin), "--out", str(out)]
+    assert main(args) == 1
+    assert f"{fin}: row 3: bad vertex word '{word}': {message}" in capsys.readouterr().err
+    assert not out.exists()
+    args = ["weights", "--q", "2", "--p", "2", "--condition", "thm1-i", "--alpha", "1",
+            "--weight", "q^(-1*k)", "--base-vertex", word, "--out", str(out)]
+    assert main(args) == 1
+    assert f"bad vertex word '{word}': {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TREEHEAT_ABS_TOL", "1e-300")
     monkeypatch.setenv("TREEHEAT_REL_TOL", "1e-16")

@@ -616,8 +616,9 @@ def test_mixing_law_tail_covers_the_weights():
 def wave_walk_mixture_mp(q, nu, t, kmax, nmax=80):
     """T_t^nu(k), k = 0..kmax, as sum_{n <= nmax} w_n u_n(k) with w_n = 2
     (t/2)^(nu+n) K_{n-nu}(t) / (n! Gamma(nu)) in 30-digit mpmath: each K from
-    mp.besselk, the walk probabilities u_n(k) from their recurrence. For nu >=
-    60 and t <= 10 the walk length is Poisson(t^2/(4G)), G ~ Gamma(nu), so the
+    mp.besselk, the walk probabilities u_n(k) from their recurrence, each
+    u_n(i) only out to where it can still reach k <= kmax. For nu >= 60 and
+    t <= 10 the walk length is Poisson(t^2/(4G)), G ~ Gamma(nu), so the
     weights past n = 80 are far below the last digit of any value here."""
     with mp.workdps(30):
         nu_, t_ = mp.mpf(nu), mp.mpf(t)
@@ -627,15 +628,18 @@ def wave_walk_mixture_mp(q, nu, t, kmax, nmax=80):
             w = 2 * (t_ / 2) ** (nu_ + n) * mp.besselk(n - nu_, t_) / (
                 mp.factorial(n) * mp.gamma(nu_))
             out = [o + w * uk for o, uk in zip(out, u)]
-            u = [u[1]] + [(u[i - 1] + q * u[i + 1]) / (q + 1) for i in range(1, len(u) - 1)] + [0]
+            reach = min(n + 2, kmax + nmax - n + 1, len(u) - 1)
+            u = ([u[1]] + [(u[i - 1] + q * u[i + 1]) / (q + 1) for i in range(1, reach)]
+                 + [0] * (len(u) - reach))
         return out
 
 
 @pytest.mark.parametrize("nu", [60.0, 200.0])
 def test_wave_at_large_nu_against_mpmath(nu):
     # kve(nu, t) overflows below t ~ 3.7e-4 at nu = 60 and 4.5 at nu = 200;
-    # there the weights come from the Bessel recurrence run up from the orders
-    # in [0, 1]. Every value lies within its own bound of an mpmath sum
+    # the weights come from kve at two orders in [0, 1] and the Bessel
+    # recurrence run up from them. Every value lies within its own bound of an
+    # mpmath sum
     q, ts, ks = 2, [1e-4, 3e-4, 0.01, 0.3, 1.0, 3.0, 10.0], np.arange(4)
     rho = kernels._walk_decay(q)
     values, bound = kernels._mix(q, kernels._wave_weights(nu, ts, rho), len(ts), ks, DEFAULT_SPEC)
@@ -651,18 +655,92 @@ def test_wave_at_large_nu_against_mpmath(nu):
         assert abs(math.fsum(w.tolist()) - 1.0) <= slack, t
 
 
+@pytest.mark.parametrize("nu", [0.3, 2.5, 60.0, 200.0])
+def test_wave_at_tiny_time_against_mpmath(nu):
+    # at t = 1e-300, (t/2)^nu and K_nu(t) are near 1e-+60000 for nu = 200,
+    # and W_0 is their product; it comes from ratios near their orders, so
+    # every value lies within its own bound of an mpmath sum. At nu = 0.3 the
+    # weights past n = 1 fall only like n^-1.3 and the walk like rho^n n^-1.5,
+    # so the sum runs to n = 640. Below kve's range the time is refused
+    q, ts, ks = 2, [1e-300, 1e-150], np.arange(4)
+    rho = kernels._walk_decay(q)
+    values, bound = kernels._mix(q, kernels._wave_weights(nu, ts, rho), len(ts), ks, DEFAULT_SPEC)
+    assert np.array_equal(values.T, kernel_block(q, KernelFamily.wave(nu), ts, 3))
+    for i, t in enumerate(ts):
+        expect = wave_walk_mixture_mp(q, nu, t, 3, nmax=640 if nu < 1 else 80)
+        for k in ks.tolist():
+            assert abs(mp.mpf(values[i, k]) - expect[k]) <= bound[i, k], (t, k)
+    with pytest.raises(NumericalError):
+        kernel_block(q, KernelFamily.wave(nu), [1e-310], 3)
+
+
 def test_log_kve_past_the_float_range():
-    # where kve overflows, log(K_v(x) e^x) comes from the upward recurrence,
-    # within kve's error and the recurrence's own bound, orders up to 800
+    # log K_v(x) passes the float range at v = 800, x = 1e-6 (about 1.2e4);
+    # W_0 = 2 (x/2)^v K_v(x)/Gamma(v) and the ratios r_n = (x/2)
+    # K_{n-v}(x)/K_{n-1-v}(x) come from kve at two orders in [0, 1] and the
+    # upward recurrence, W_0 within kve's error and its own bound at every
+    # point of the grid. A ratio is a quotient of two K, so it is within twice
+    # kve's error and its bound; ratios below the smallest normal number
+    # underflow, and a weight they carry is below it too
     with mp.workdps(40):
-        for v in (2.5, 60.0, 200.0, 800.0):
-            for x in (1e-6, 1e-3, 1.0, 100.0, 300.0):
-                if not math.isinf(kve(v, x)):
-                    continue
-                log_k, err, _, _ = kernels._kve_up(v, x)
-                assert kernels._log_kve(v, x) == log_k
-                expect = mp.log(mp.besselk(mp.mpf(v), mp.mpf(x))) + mp.mpf(x)
-                assert abs(log_k - expect) <= KVE_REL_ERR + err, (v, x)
+        for v in (0.3, 1.0, 2.5, 60.0, 200.0, 800.0):
+            for x in (1e-300, 1e-6, 1e-3, 1.0, 100.0, 300.0):
+                mant, exp2, err, ratios, errs = kernels._kve_up(v, x)
+                v_, x_ = mp.mpf(v), mp.mpf(x)
+                expect = 2 * (x_ / 2) ** v_ * mp.besselk(v_, x_) / mp.gamma(v_)
+                got = mp.ldexp(mp.mpf(mant), exp2)
+                assert abs(got - expect) <= (KVE_REL_ERR + err) * expect, (v, x)
+                for n in sorted({1, len(ratios) // 2, len(ratios) - 1, len(ratios)}):
+                    expect = x_ / 2 * mp.besselk(n - v_, x_) / mp.besselk(n - 1 - v_, x_)
+                    if expect > kernels._TINY:
+                        tol = (2.0 * KVE_REL_ERR + errs[n - 1]) * expect
+                        assert abs(ratios[n - 1] - expect) <= tol, (v, x, n)
+
+
+def test_log_multiplier_of_the_wave_family_against_mpmath():
+    # ln phi = ln(2 (x/2)^nu K_nu(x)/Gamma(nu)) at x = t sqrt(lam) decides
+    # which times _walk_mixture gives as 0 without summing them; it lies
+    # within kve's error, the bound of W_0 and the rounding of the log
+    # (mp.besselk does not converge at nu = 800 for x near 3e3 to 1e4)
+    xs = [1e-300, 1e-150, 1e-6, 0.01, 1.0, 30.0, 300.0, 1e5, 1e9]
+    with mp.workdps(40):
+        for nu in (0.3, 1.0, 2.5, 60.0, 200.0, 800.0):
+            got = kernels._log_multiplier(KernelFamily.wave(nu), 2.0 * np.array(xs), 0.25)
+            for x, value in zip(xs, got.tolist()):
+                nu_, x_ = mp.mpf(nu), mp.mpf(x)
+                expect = mp.log(2 * (x_ / 2) ** nu_ * mp.besselk(nu_, x_) / mp.gamma(nu_))
+                err = kernels._kve_up(nu, x)[2]
+                tol = KVE_REL_ERR + err + (abs(float(expect)) + 2.0) * kernels._EPS
+                assert abs(value - expect) <= tol, (nu, x)
+
+
+def test_kve_is_read_at_two_orders_in_zero_one(monkeypatch):
+    # every K comes from kve at mu = nu - floor(nu) (1 for whole nu) and
+    # 1 - mu, one pair per argument, and the upward recurrence: kernel_block
+    # reads a pair at t sqrt(1 - rho) for a time's mass and one at t for its
+    # weights, and tabulate two more, at t sqrt(1/2) and at t (the weights at
+    # rho = 1), for the mass beyond the ball, however large nu is
+    calls = []
+
+    def recorder(v, x):
+        calls.append((float(v), float(x)))
+        return kve(v, x)
+
+    monkeypatch.setattr(kernels, "kve", recorder)
+    ts = [0.3, 1.0, 3.0]
+    for nu in (0.75, 2.5, 200.0):
+        mu = nu - math.floor(nu) or 1.0
+        for q in (2, 3):
+            rho = kernels._walk_decay(q)
+            for run, count in ((lambda: kernel_block(q, KernelFamily.wave(nu), ts, 6), 4 * len(ts)),
+                               (lambda: tabulate(TreeGeometry(q, 6), KernelFamily.wave(nu), 1.0), 8)):
+                calls.clear()
+                run()
+                assert len(calls) == count, (nu, q)
+                for i in range(0, len(calls), 2):
+                    (v0, x0), (v1, x1) = calls[i : i + 2]
+                    assert x0 == x1 and (v0, v1) == (mu, 1.0 - mu)
+            assert {x for _, x in calls} == {1.0, math.sqrt(1.0 - rho), math.sqrt(0.5)}
 
 
 def test_radial_convolve_semigroup():
